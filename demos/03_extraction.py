@@ -45,8 +45,7 @@ print(f"\nband_peel: size {b.size}, guarantee ceil(f({x})*n) = {target}")
 # every move strictly reduces the number of single-class edges.
 part = k_partition(h, k)
 print(f"\nk_partition: {len(part.classes)} classes "
-      f"(= ceil({h.max_degree}/{k})), {len(part.moves)} moves, "
-      f"{part.fallback_events} fallbacks")
+      f"(= ceil({h.max_degree}/{k})), {len(part.moves)} moves")
 print(f"  class sizes: {sorted(len(c) for c in part.classes)}")
 
 # Its largest class is k-independent and pigeonhole-sized.

@@ -74,11 +74,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _reject_table(args: argparse.Namespace) -> None:
-    if getattr(args, "table", False):
-        raise _UsageError("table output is only available for the bounds command")
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.complete:
         if args.m is not None:
@@ -131,7 +126,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _reject_table(args)
     h = load_hg(args.file)
     if args.algo == "partition" and args.k == 0:
         raise _UsageError("partition extraction requires k >= 1")
@@ -145,7 +139,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    _reject_table(args)
     h = load_hg(args.file)
     budget = args.budget if args.budget else None
     if args.quantity == "alpha":
@@ -159,7 +152,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _reject_table(args)
     if args.config is None:
         cfg = VerifyConfig()
     else:
@@ -212,7 +204,6 @@ def _csv_row_for(label: str, h: Hypergraph, k: int, budget: int | None) -> list[
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _reject_table(args)
     try:
         ks = [int(p) for p in args.k.split(",") if p.strip()]
     except ValueError:
@@ -258,13 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, table: bool = False,
+               budget: bool = False) -> None:
         p.add_argument("--output", help="write output to this path")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        fmt.add_argument("--table", action="store_true", help="aligned table output")
-        p.add_argument("--budget", type=_nonneg, default=0,
-                       help="search node budget, 0 = unlimited")
+        if table:
+            fmt.add_argument("--table", action="store_true", help="aligned table output")
+        if budget:
+            p.add_argument("--budget", type=_nonneg, default=0,
+                           help="search node budget, 0 = unlimited")
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     kind = p_gen.add_mutually_exclusive_group(required=True)
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate every lower bound")
     p_bounds.add_argument("file", help=".hg instance")
     p_bounds.add_argument("-k", type=_nonneg, required=True, help="independence parameter")
-    common(p_bounds)
+    common(p_bounds, table=True)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_extract = sub.add_parser("extract", help="construct a k-independent set")
@@ -294,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("file", help=".hg instance")
     p_exact.add_argument("-k", type=_nonneg, required=True)
     p_exact.add_argument("--quantity", choices=("alpha", "chi"), default="alpha")
-    common(p_exact)
+    common(p_exact, budget=True)
     p_exact.set_defaults(func=cmd_exact)
 
     p_verify = sub.add_parser("verify", help="run the verification corpus")
     p_verify.add_argument("--config", help="key=value config file (default built in)")
     p_verify.add_argument("--seed", type=_nonneg, help="override the master seed")
-    common(p_verify)
+    common(p_verify, budget=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare", help="CSV of bounds vs exact values")
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--config", help="also include the config's corpus")
     p_compare.add_argument("-k", default="0,1,2,3",
                            help="comma-separated k values (default 0,1,2,3)")
-    common(p_compare)
+    common(p_compare, budget=True)
     p_compare.set_defaults(func=cmd_compare)
 
     return parser
@@ -316,19 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HypergraphError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, HypergraphError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,9 +18,10 @@ recursion internally relabels subinstances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
+from itertools import compress
 
 from kindep.hypergraph import Hypergraph
 
@@ -72,17 +73,12 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint cover of V with bounded induced degree per class.
-
-    fallback_events counts emergency class openings (theoretically
-    impossible; any nonzero count is reported as a degraded run).
-    """
+    """Disjoint cover of V with bounded induced degree per class."""
 
     k: int
     classes: tuple[tuple[int, ...], ...]
     class_max_degrees: tuple[int, ...]
     moves: tuple[TraceStep, ...]
-    fallback_events: int
 
 
 def _finalize(h: Hypergraph, k: int, algorithm: str,
@@ -104,7 +100,16 @@ class _PeelState:
 
     Tracks alive vertices, alive edges (all endpoints alive), and the
     induced degree of every alive vertex, so one deletion costs only
-    the edges it kills.
+    the edges it kills: O(s * deg v).
+
+    `peel` picks each victim from a lazy max-degree heap of int keys
+    v - deg * n, so the smallest key is the highest degree with ties to
+    the lowest id.  Deletions only lower degrees, so a stale key
+    overstates its vertex and surfaces at the top, where it is re-keyed
+    (or dropped once below the threshold, which it can never regain).
+    Each re-key pays for an earlier degree decrement, so a peel costs
+    O((n + s * e) log n) in all and its heap is freed when it returns.
+    A state is peeled once.
     """
 
     def __init__(self, h: Hypergraph) -> None:
@@ -112,32 +117,40 @@ class _PeelState:
         self.alive = [True] * h.n
         self.edge_alive = [True] * h.e
         self.deg = list(h.degrees)
-        self.alive_count = h.n
 
-    def remove(self, v: int) -> None:
-        assert self.alive[v]
-        self.alive[v] = False
-        self.alive_count -= 1
-        for i in self.h.incidence[v]:
-            if self.edge_alive[i]:
-                self.edge_alive[i] = False
-                for u in self.h.edges[i]:
-                    if u != v:
-                        self.deg[u] -= 1
-
-    def worst_alive(self) -> int:
-        """Alive vertex of maximum induced degree, ties to lowest id."""
-        best, best_deg = -1, -1
-        for v in range(self.h.n):
-            if self.alive[v] and self.deg[v] > best_deg:
-                best, best_deg = v, self.deg[v]
-        return best
+    def peel(self, threshold: int, cap: int | None = None) -> list[TraceStep]:
+        """Remove the alive vertex of maximum induced degree (ties to
+        lowest id) while that degree is >= threshold, at most cap times."""
+        h = self.h
+        n, edges, incidence = h.n, h.edges, h.incidence
+        deg, alive, edge_alive = self.deg, self.alive, self.edge_alive
+        heap = [v - d * n for v, d in enumerate(deg) if d >= threshold]
+        heapify(heap)
+        trace = []
+        left = n if cap is None else cap
+        while heap and left:
+            key = heap[0]
+            v = key % n
+            d = deg[v]
+            if d < threshold:
+                heappop(heap)
+            elif key != v - d * n:
+                heapreplace(heap, v - d * n)
+            else:
+                heappop(heap)
+                left -= 1
+                trace.append(TraceStep("remove", v, d))
+                alive[v] = False
+                for i in incidence[v]:
+                    if edge_alive[i]:
+                        edge_alive[i] = False
+                        for u in edges[i]:
+                            if u != v:
+                                deg[u] -= 1
+        return trace
 
     def survivors(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.h.n) if self.alive[v])
-
-    def alive_edge_count(self) -> int:
-        return sum(self.edge_alive)
+        return tuple(compress(range(self.h.n), self.alive))
 
 
 def greedy_peel(h: Hypergraph, k: int, threshold: int | None = None) -> ExtractionResult:
@@ -153,20 +166,8 @@ def greedy_peel(h: Hypergraph, k: int, threshold: int | None = None) -> Extracti
     if theta < 1:
         raise ValueError(f"threshold must be >= 1, got {theta}")
     state = _PeelState(h)
-    trace = []
-    while True:
-        v = state.worst_alive()
-        if v < 0 or state.deg[v] < theta:
-            break
-        trace.append(TraceStep("remove", v, state.deg[v]))
-        state.remove(v)
+    trace = state.peel(theta)
     return _finalize(h, k, "greedy_peel", state.survivors(), tuple(trace))
-
-
-def _degree_band(h: Hypergraph, k: int) -> tuple[int, Fraction]:
-    """Minimal r >= 0 with d <= (s/2)(r+1)(k+1), plus x = 2d/(s(k+1))."""
-    x = Fraction(2 * h.e, h.n * (k + 1))
-    return max(0, math.ceil(x) - 1), x
 
 
 def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionResult:
@@ -185,31 +186,27 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    r, x = _degree_band(h, k)
+    # band: the least r >= 0 with d <= (s/2)(r+1)(k+1), that is, with
+    # x = 2e/(n(k+1)) <= r+1
+    r = max(0, -(-2 * h.e // (h.n * (k + 1))) - 1)
     if r == 0:
         inner = greedy_peel(h, k)
         return replace(inner, algorithm="band_peel")
 
-    t = Fraction(2 * h.e - h.n * r * (k + 1), (r + 2) * (k + 1))
-    cap = math.ceil(t)
-    # degree threshold s(r+1)(k+1)/2, compared without rounding
-    tau_twice = h.s * (r + 1) * (k + 1)
+    t_num, t_den = 2 * h.e - h.n * r * (k + 1), (r + 2) * (k + 1)
+    cap = -(-t_num // t_den)
     state = _PeelState(h)
-    trace = []
-    while len(trace) < cap:
-        v = state.worst_alive()
-        if v < 0 or 2 * state.deg[v] < tau_twice:
-            break
-        trace.append(TraceStep("remove", v, state.deg[v]))
-        state.remove(v)
+    # degree threshold s(r+1)(k+1)/2, rounded up: degrees are integers
+    trace = state.peel(-(-h.s * (r + 1) * (k + 1) // 2), cap)
 
     removed = len(trace)
     if probe is not None:
         survivors = state.survivors()
-        rem_e = state.alive_edge_count()
+        rem_e = sum(state.edge_alive)
         rem_n = len(survivors)
         entry = {
-            "n": h.n, "e": h.e, "k": k, "r": r, "x": x, "t": t, "cap": cap,
+            "n": h.n, "e": h.e, "k": k, "r": r, "x": Fraction(2 * h.e, h.n * (k + 1)),
+            "t": Fraction(t_num, t_den), "cap": cap,
             "removed": removed, "early_stop": removed < cap,
             "remainder_n": rem_n, "remainder_e": rem_e,
             "remainder_d_ok": Fraction(h.s * rem_e, rem_n) <= Fraction(h.s * r * (k + 1), 2)
@@ -230,6 +227,7 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
         return replace(winner, algorithm="band_peel")
 
     survivors = state.survivors()
+    del state  # keep one level's peel state alive at a time
     remainder = h.induced(survivors)
     rec = band_peel(remainder, k, probe)
     rec_vertices = tuple(survivors[i] for i in rec.vertices)
@@ -256,7 +254,6 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
     c = max(1, -(-delta // k))
     assign = [v % c for v in range(h.n)]
     moves = []
-    fallback_events = 0
     hard_cap = 4 * h.e + 2 * h.n + 16
 
     def mono_degrees() -> list[int]:
@@ -292,10 +289,9 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
         ]
         best_gain, target = min(options, default=(worst_deg, -1))
         if best_gain >= worst_deg:
-            # should be unreachable; keep the run valid and flag it
-            fallback_events += 1
-            c += 1
-            target = c - 1
+            # the other c-1 classes close at most delta - worst_deg
+            # < (c-1)k of the worst vertex's edges, so one closes < k
+            raise ExtractionDefect("partition local search found no improving move")
         moves.append(TraceStep("move", worst, worst_deg))
         assign[worst] = target
 
@@ -312,7 +308,7 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
         if worst_in_cls > k:
             raise ExtractionDefect("partition converged with an invalid class")
         class_max.append(worst_in_cls)
-    return Partition(k, classes, tuple(class_max), tuple(moves), fallback_events)
+    return Partition(k, classes, tuple(class_max), tuple(moves))
 
 
 def partition_extract(h: Hypergraph, k: int) -> ExtractionResult:
@@ -322,19 +318,52 @@ def partition_extract(h: Hypergraph, k: int) -> ExtractionResult:
     return _finalize(h, k, "partition_extract", best, part.moves)
 
 
+def _augment(h: Hypergraph, k: int, vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """Extend a k-independent set to a maximal one, trying every other
+    vertex once in ascending id order.
+
+    Keeps the induced degrees of the chosen set: a candidate v is
+    admitted when it closes at most k edges and no endpoint of those
+    edges rises above k.  That costs O(s * deg v) per candidate and
+    O(s * e) for the whole pass.
+    """
+    chosen = [False] * h.n
+    deg = [0] * h.n
+    for v, d in h.induced_degrees(vertices).items():
+        chosen[v] = True
+        deg[v] = d
+    edges = h.edges
+    for v in range(h.n):
+        if chosen[v]:
+            continue
+        closed = []
+        for i in h.incidence[v]:
+            edge = edges[i]
+            if all(chosen[u] for u in edge if u != v):
+                closed.append(edge)
+        if len(closed) > k:
+            continue
+        for edge in closed:
+            for u in edge:
+                deg[u] += 1
+        if all(deg[u] <= k for edge in closed for u in edge):
+            chosen[v] = True
+        else:
+            for edge in closed:
+                for u in edge:
+                    deg[u] -= 1
+    return tuple(compress(range(h.n), chosen))
+
+
 def best_extract(h: Hypergraph, k: int) -> ExtractionResult:
     """Best of all engines, then augmented to a maximal set.
 
     Augmentation retries every excluded vertex in ascending id order
     and keeps those that preserve k-independence, so no single vertex
-    can extend the returned set.
+    can extend the returned set; see `_augment` for its O(s * e) cost.
     """
     contenders = [greedy_peel(h, k), band_peel(h, k)]
     if k >= 1:
         contenders.append(partition_extract(h, k))
     winner = max(contenders, key=lambda res: res.size)
-    chosen = set(winner.vertices)
-    for v in range(h.n):
-        if v not in chosen and h.is_k_independent(sorted(chosen | {v}), k):
-            chosen.add(v)
-    return _finalize(h, k, "best_extract", tuple(sorted(chosen)), winner.trace)
+    return _finalize(h, k, "best_extract", _augment(h, k, winner.vertices), winner.trace)

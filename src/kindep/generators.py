@@ -56,19 +56,30 @@ class WordStream:
 
 
 def _unrank_subset(rank: int, n: int, s: int) -> tuple[int, ...]:
-    """The `rank`-th s-subset of {0..n-1} in lexicographic order."""
+    """The `rank`-th s-subset of {0..n-1} in lexicographic order.
+
+    With the first free id at x, the C(n-x, slot) subsets left split
+    into blocks by first element y, and the blocks for y' > y hold
+    C(n-y-1, slot) subsets in all.  So the rank falls in the block of
+    the least y with C(n-y-1, slot) < C(n-x, slot) - rank, which a
+    binary search over y finds with O(log n) `comb` calls per slot.
+    For the last slot every block holds one subset, so y = x + rank.
+    """
     out = []
     x = 0
-    for slot in range(s, 0, -1):
-        # advance x until the block of subsets starting with x covers rank
-        while True:
-            block = comb(n - x - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
+    for slot in range(s, 1, -1):
+        above = comb(n - x, slot) - rank  # subsets at or after the rank
+        lo, hi = x, n - slot
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb(n - mid - 1, slot) < above:
+                hi = mid
+            else:
+                lo = mid + 1
+        rank = comb(n - lo, slot) - above
+        out.append(lo)
+        x = lo + 1
+    out.append(x + rank)
     return tuple(out)
 
 

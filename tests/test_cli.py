@@ -108,6 +108,22 @@ def test_bounds_missing_file(capsys):
     assert "error:" in err
 
 
+def test_bounds_directory_argument(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bounds", str(tmp_path), "-k", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "extract"])
+def test_budget_rejected_where_unused(k4_file, capsys, command):
+    code, out, err = run_cli(capsys, command, k4_file, "-k", "0", "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
 def test_table_flag_rejected_elsewhere(k4_file, capsys):
     code, _, err = run_cli(capsys, "exact", k4_file, "-k", "0", "--table")
     assert code == 2

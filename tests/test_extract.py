@@ -3,20 +3,25 @@ replay, and the re-verification safety net."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kindep import (
     ExtractionDefect,
+    Hypergraph,
+    VerifyConfig,
     alpha_k_exact,
     band_peel,
     best_extract,
     bound_report,
+    corpus_instance,
     eval_f,
     gen_complete,
     gen_random_uniform,
     greedy_peel,
     k_partition,
+    load_hg,
     partition_extract,
 )
 
@@ -120,10 +125,22 @@ def test_partition_contract():
             part = k_partition(h, k)
             expected_classes = max(1, -(-h.max_degree // k))
             assert len(part.classes) == expected_classes
-            assert part.fallback_events == 0
             assert len(part.moves) <= h.e
             assert sorted(v for cls in part.classes for v in cls) == list(range(h.n))
             assert all(d <= k for d in part.class_max_degrees)
+
+
+def test_partition_without_improving_move_is_a_defect(k4):
+    # a host that under-reports delta leaves too few classes for the
+    # local search; that must raise, not open an extra class
+    class UnderReportedDelta(Hypergraph):
+        @property
+        def max_degree(self):
+            return 1
+
+    lying = UnderReportedDelta(k4.n, k4.s, k4.edges)
+    with pytest.raises(ExtractionDefect, match="no improving move"):
+        k_partition(lying, 1)
 
 
 def test_partition_rejects_k0(k4):
@@ -189,3 +206,23 @@ def test_result_json_shape(k4):
     assert doc["set"] == [3, 4]
     assert doc["trace"][0] == {"op": "remove", "vertex": 1, "degree": 3}
     assert doc["size"] == 2
+
+
+R388 = Path(__file__).parent / "data" / "r388_band_peel.hg"
+
+
+def test_r388_instance_facts():
+    h = load_hg(str(R388))
+    assert h == corpus_instance(VerifyConfig(master_seed=5), "r388").h
+    assert (h.n, h.e, h.s) == (8, 22, 2)
+    target = math.ceil(eval_f(Fraction(2 * h.e, h.n * 2)) * h.n)
+    assert target == 3
+    assert alpha_k_exact(h, 1).value == 3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="band_peel returns 2 on r388 (kindep verify --seed 5), "
+                          "short of the ceil(f(x) * n) = 3 target that alpha_1 = 3 allows")
+def test_band_peel_reaches_f_target_on_r388():
+    h = load_hg(str(R388))
+    assert band_peel(h, 1).size >= 3

@@ -1,0 +1,175 @@
+"""Property tests: the fast extraction and generation paths against plain
+reference implementations kept here.
+
+The references are the straightforward versions: a peel that finds each
+victim by an O(n) scan, an augmentation that re-checks the whole set with
+`is_k_independent`, and an unranker that walks the first element up one id
+at a time.  Hypothesis runs derandomized, so every run draws the same cases.
+"""
+
+import math
+from fractions import Fraction
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kindep import (
+    Hypergraph,
+    band_peel,
+    best_extract,
+    greedy_peel,
+    partition_extract,
+)
+from kindep.extract import _augment
+from kindep.generators import _unrank_subset
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def hypergraphs(draw, n_max=24):
+    n = draw(st.integers(1, n_max))
+    s = draw(st.integers(2, 4))
+    if s > n:
+        return Hypergraph(n, s)
+    raw = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True),
+        max_size=4 * n,
+    ))
+    return Hypergraph(n, s, tuple({tuple(sorted(e)) for e in raw}))
+
+
+# -- reference peeling: O(n) scan per removal -------------------------------
+
+def scan_peel(h, keep_going):
+    """Remove the alive vertex of maximum degree (ties to lowest id) while
+    keep_going(removals so far, its degree) holds.
+
+    Returns the survivors and the (vertex, degree) of each removal.
+    """
+    alive = [True] * h.n
+    edge_alive = [True] * h.e
+    deg = list(h.degrees)
+    steps = []
+    while True:
+        best, best_deg = -1, -1
+        for v in range(h.n):
+            if alive[v] and deg[v] > best_deg:
+                best, best_deg = v, deg[v]
+        if best < 0 or not keep_going(len(steps), best_deg):
+            break
+        steps.append((best, best_deg))
+        alive[best] = False
+        for i in h.incidence[best]:
+            if edge_alive[i]:
+                edge_alive[i] = False
+                for u in h.edges[i]:
+                    if u != best:
+                        deg[u] -= 1
+    return tuple(v for v in range(h.n) if alive[v]), steps
+
+
+def ref_greedy(h, k):
+    return scan_peel(h, lambda _, d: d >= k + 1)
+
+
+def ref_band(h, k):
+    x = Fraction(2 * h.e, h.n * (k + 1))
+    r = max(0, math.ceil(x) - 1)
+    if r == 0:
+        return ref_greedy(h, k)
+    cap = math.ceil(Fraction(2 * h.e - h.n * r * (k + 1), (r + 2) * (k + 1)))
+    tau_twice = h.s * (r + 1) * (k + 1)
+    survivors, steps = scan_peel(h, lambda done, d: done < cap and 2 * d >= tau_twice)
+    if not steps:
+        contenders = [ref_greedy(h, k)]
+        if k >= 1:
+            part = partition_extract(h, k)
+            contenders.append((part.vertices, [(t.vertex, t.degree) for t in part.trace]))
+        return max(contenders, key=lambda c: len(c[0]))
+    rec_set, rec_steps = ref_band(h.induced(survivors), k)
+    plain = ref_greedy(h, k)
+    if len(plain[0]) > len(rec_set):
+        return plain
+    return (tuple(survivors[v] for v in rec_set),
+            steps + [(survivors[v], d) for v, d in rec_steps])
+
+
+def as_pair(result):
+    return result.vertices, [(t.vertex, t.degree) for t in result.trace]
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_greedy_peel_matches_scan_reference(h, k):
+    assert as_pair(greedy_peel(h, k)) == ref_greedy(h, k)
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_band_peel_matches_scan_reference(h, k):
+    assert as_pair(band_peel(h, k)) == ref_band(h, k)
+
+
+# -- reference augmentation: whole-set re-check per candidate ----------------
+
+def recheck_augment(h, k, vertices):
+    chosen = set(vertices)
+    for v in range(h.n):
+        if v not in chosen and h.is_k_independent(sorted(chosen | {v}), k):
+            chosen.add(v)
+    return tuple(sorted(chosen))
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3), st.data())
+def test_augment_matches_recheck_reference(h, k, data):
+    # a k-independent start that is rarely maximal: grow one in a drawn order
+    order = data.draw(st.permutations(range(h.n)))
+    start = set()
+    for v in order[:data.draw(st.integers(0, h.n))]:
+        if h.is_k_independent(sorted(start | {v}), k):
+            start.add(v)
+    start = tuple(sorted(start))
+    assert _augment(h, k, start) == recheck_augment(h, k, start)
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_best_extract_matches_recheck_reference(h, k):
+    contenders = [greedy_peel(h, k), band_peel(h, k)]
+    if k >= 1:
+        contenders.append(partition_extract(h, k))
+    winner = max(contenders, key=lambda res: res.size)
+    best = best_extract(h, k)
+    assert best.vertices == recheck_augment(h, k, winner.vertices)
+    assert best.trace == winner.trace
+
+
+# -- reference unranking: linear walk over the first element -----------------
+
+def walk_unrank(rank, n, s):
+    out = []
+    x = 0
+    for slot in range(s, 0, -1):
+        while True:
+            block = comb(n - x - 1, slot - 1)
+            if rank < block:
+                break
+            rank -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 4))
+def test_unrank_matches_linear_walk(data, s):
+    n = data.draw(st.integers(s, 4000))
+    total = comb(n, s)
+    rank = data.draw(st.integers(0, total - 1))
+    for r in (0, rank, total - 1):
+        assert _unrank_subset(r, n, s) == walk_unrank(r, n, s)
+
