@@ -212,12 +212,12 @@ R388 = Path(__file__).parent / "data" / "r388_band_peel.hg"
 
 
 def test_r388_instance_facts():
-    h = load_hg(str(R388))
+    h, k = load_hg(str(R388)), 1
     assert h == corpus_instance(VerifyConfig(master_seed=5), "r388").h
     assert (h.n, h.e, h.s) == (8, 22, 2)
-    target = math.ceil(eval_f(Fraction(2 * h.e, h.n * 2)) * h.n)
+    target = math.ceil(eval_f(Fraction(2 * h.e, h.n * (k + 1))) * h.n)
     assert target == 3
-    assert alpha_k_exact(h, 1).value == 3
+    assert alpha_k_exact(h, k).value == 3
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
