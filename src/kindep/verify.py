@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, gcd
 
 import numpy as np
 
@@ -449,14 +449,23 @@ def check_fg_properties(sink: DumpSink) -> CheckResult:
         comparisons += 1
         if fvals[a] < fvals[b]:
             fail({"property": "monotone", "x1": a, "x2": b})
-    mid_memo: dict[Fraction, Fraction] = {}
-    for i, a in enumerate(xs):
-        for b in xs[i + 1:]:
-            mid = (a + b) / 2
-            if mid not in mid_memo:
-                mid_memo[mid] = eval_f(mid)
+    # All-pairs midpoint convexity, 2 f((a+b)/2) <= f(a) + f(b), compared
+    # by integer cross-multiplication (every denominator is positive):
+    # Fraction arithmetic on the ~45k pairs would dominate the check.
+    grid = [(x, x.numerator, x.denominator, fvals[x].numerator, fvals[x].denominator)
+            for x in xs]
+    mid_memo: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, (a, an, ad, fan, fad) in enumerate(grid):
+        for b, bn, bd, fbn, fbd in grid[i + 1:]:
+            num, den = an * bd + bn * ad, 2 * ad * bd
+            common = gcd(num, den)
+            key = (num // common, den // common)
+            fmid = mid_memo.get(key)
+            if fmid is None:
+                value = eval_f(Fraction(*key))
+                fmid = mid_memo[key] = (value.numerator, value.denominator)
             comparisons += 1
-            if 2 * mid_memo[mid] > fvals[a] + fvals[b]:
+            if 2 * fmid[0] * fad * fbd > (fan * fbd + fbn * fad) * fmid[1]:
                 fail({"property": "midpoint-convexity", "x1": a, "x2": b})
     return CheckResult("fg-properties", violations == 0, comparisons, violations)
 
