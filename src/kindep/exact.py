@@ -1,8 +1,13 @@
 """Exact oracles for the k-independence and k-chromatic numbers.
 
 Small-instance ground truth by exhaustive search.  Vertex sets are
-machine-word bitmasks (n <= 64) and edge containment is a mask-subset
-test, so the searches stay cheap enough to run over whole corpora.
+machine-word bitmasks (n <= 64 for alpha) and edge containment is a
+mask-subset test, so the searches stay cheap enough to run over whole
+corpora.  Both searches update degrees incrementally from vertex
+incidence lists: a node costs O(s * deg u) per branch plus an O(n)
+`max` for the alpha violator, instead of an O(e + n) recount.  The
+node count is part of every result, so the search tree itself is
+fixed output: a pruning rule that cuts it changes the printed bytes.
 
 A node budget turns an over-large call into an explicit
 "budget_exceeded" result; the oracle never returns an approximation.
@@ -69,51 +74,51 @@ class _NodeMeter:
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
-def _max_violator(h: Hypergraph, smask: int, k: int) -> tuple[int, int]:
-    """(vertex, induced degree) of the worst violator inside smask, or
-    (-1, 0) when the masked set is k-independent.  Ties: lowest id."""
-    deg = [0] * h.n
-    for emask, edge in zip(h.edge_masks, h.edges):
+def _incident_edges(h: Hypergraph) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(edge mask, edge) for every edge through each vertex, in edge order."""
+    masks, edges = h.edge_masks, h.edges
+    return [tuple((masks[i], edges[i]) for i in inc) for inc in h.incidence]
+
+
+def _drop(deg: list[int], inc: tuple, smask: int) -> list[tuple[int, ...]]:
+    """Decrement the endpoints of every edge of `inc` that lies inside
+    smask; returns those edges so the caller can restore `deg`.  Taking
+    the edges through u this way drops deg[u] itself to 0."""
+    closed = []
+    for emask, edge in inc:
         if emask & smask == emask:
-            for v in edge:
-                deg[v] += 1
-    worst, worst_deg = -1, k
-    for v in range(h.n):
-        if smask >> v & 1 and deg[v] > worst_deg:
-            worst, worst_deg = v, deg[v]
-    return (worst, worst_deg) if worst >= 0 else (-1, 0)
+            closed.append(edge)
+            for w in edge:
+                deg[w] -= 1
+    return closed
 
 
-def _witness_union(h: Hypergraph, smask: int, v: int, k: int) -> int:
-    """Mask of v plus the vertices of k+1 edges through v inside smask."""
-    out = 1 << v
-    found = 0
-    for emask in h.edge_masks:
-        if emask >> v & 1 and emask & smask == emask:
-            out |= emask
-            found += 1
-            if found == k + 1:
-                break
-    return out
+def _shift(deg: list[int], edges: list[tuple[int, ...]], step: int) -> None:
+    """Add step to the degree of every endpoint of every edge."""
+    for edge in edges:
+        for w in edge:
+            deg[w] += step
 
 
-def _greedy_seed(h: Hypergraph, k: int) -> int:
-    """Peel worst violators until k-independent; mask of the survivors."""
+def _greedy_seed(h: Hypergraph, k: int, inc: list) -> int:
+    """Peel worst violators (max degree, lowest id) until k-independent;
+    mask of the survivors."""
     smask = (1 << h.n) - 1
-    while True:
-        v, _ = _max_violator(h, smask, k)
-        if v < 0:
-            return smask
+    deg = list(h.degrees)
+    top = max(deg)
+    while top > k:
+        v = deg.index(top)
+        _drop(deg, inc[v], smask)
         smask &= ~(1 << v)
+        top = max(deg)
+    return smask
 
 
 def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> OracleResult:
@@ -124,6 +129,12 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     candidate set; branching over those exclusions, each branch
     requiring the previously tried vertices to stay, partitions the
     space.  Nodes with no more candidates than the incumbent are cut.
+
+    `deg` holds the induced degrees of the current candidate mask
+    (0 outside it): each branch decrements the endpoints of the edges
+    it removes and restores them on return, so a node costs
+    O(s * deg u) per branch plus an O(n) `max` for the worst violator
+    (highest degree, lowest id), instead of an O(e + n) recount.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -131,31 +142,42 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
         raise ValueError("oracle supports n <= 64")
     start = time.perf_counter()
     meter = _NodeMeter(node_budget)
-    best_mask = _greedy_seed(h, k)
+    inc = _incident_edges(h)
+    best_mask = _greedy_seed(h, k, inc)
     best = bin(best_mask).count("1")
+    deg = list(h.degrees)
 
-    def explore(smask: int, required: int) -> None:
+    def explore(smask: int, required: int, size: int) -> None:
         nonlocal best, best_mask
         meter.tick()
-        size = bin(smask).count("1")
         if size <= best:
             return
-        v, _ = _max_violator(h, smask, k)
-        if v < 0:
+        top = max(deg)
+        if top <= k:
             best, best_mask = size, smask
             return
-        union = _witness_union(h, smask, v, k)
-        candidates = [v] + [u for u in _mask_to_vertices(union) if u != v]
+        v = deg.index(top)
+        # witness union: v plus its first k+1 edges inside smask
+        union = 1 << v
+        found = 0
+        for emask, _ in inc[v]:
+            if emask & smask == emask:
+                union |= emask
+                found += 1
+                if found > k:
+                    break
         req = required
-        for u in candidates:
+        for u in (v,) + _mask_to_vertices(union & ~(1 << v)):
             bit = 1 << u
             if req & bit:
                 continue
-            explore(smask & ~bit, req)
+            closed = _drop(deg, inc[u], smask)
+            explore(smask & ~bit, req, size - 1)
+            _shift(deg, closed, 1)
             req |= bit
 
     try:
-        explore((1 << h.n) - 1, 0)
+        explore((1 << h.n) - 1, 0, h.n)
     except _BudgetExceeded:
         return OracleResult("alpha_k", k, None, "budget_exceeded", None, meter.spent,
                             time.perf_counter() - start)
@@ -194,54 +216,63 @@ def alpha_k_bruteforce(h: Hypergraph, k: int) -> int:
 
 def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) -> list[int] | None:
     """Backtracking assignment of vertices (in id order) to `classes`
-    classes, each keeping induced max degree <= k.  Symmetry is broken
-    by allowing a vertex only the used classes plus one fresh one.
+    classes, each keeping induced max degree <= k; returns the class
+    membership masks, or None.  Symmetry is broken by allowing a vertex
+    only the used classes plus one fresh one.
+
+    An edge is charged to its last vertex: it closes in class t when the
+    rest of it is already in t, a mask-subset test against `members[t]`.
+    A node costs O(s * deg v) per class tried.  The search keeps an
+    explicit stack, one entry per assigned vertex, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
-    by_last: list[list[int]] = [[] for _ in range(h.n)]
-    for i, edge in enumerate(h.edges):
-        by_last[edge[-1]].append(i)
-    assign = [-1] * h.n
-    cls_deg = [[0] * h.n for _ in range(classes)]
-
-    def place(v: int, t: int) -> list[int] | None:
-        """Apply degree increments for the edges that become fully
-        contained in class t once v joins it; returns that edge list,
-        or None (state rolled back) if a degree tops k."""
-        done = [
-            i for i in by_last[v]
-            if all(assign[u] == t for u in h.edges[i] if u != v)
-        ]
-        touched = []
-        for i in done:
-            for u in h.edges[i]:
-                cls_deg[t][u] += 1
-                touched.append(u)
-                if cls_deg[t][u] > k:
-                    for w in touched:
-                        cls_deg[t][w] -= 1
-                    return None
-        return done
-
-    def unplace(t: int, done: list[int]) -> None:
-        for i in done:
-            for u in h.edges[i]:
-                cls_deg[t][u] -= 1
-
-    def descend(v: int, used: int) -> bool:
-        if v == h.n:
-            return True
-        meter.tick()
-        for t in range(min(used + 1, classes)):
-            assign[v] = t
-            done = place(v, t)
-            if done is not None:
-                if descend(v + 1, max(used, t + 1)):
-                    return True
-                unplace(t, done)
-            assign[v] = -1
-        return False
-
-    return assign if descend(0, 0) else None
+    n = h.n
+    by_last: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for emask, edge in zip(h.edge_masks, h.edges):
+        last = edge[-1]
+        by_last[last].append((emask & ~(1 << last), edge))
+    members = [0] * classes
+    cls_deg = [[0] * n for _ in range(classes)]
+    # per assigned vertex: (its class, classes used before it, edges it closed)
+    stack: list[tuple[int, int, list[tuple[int, ...]]]] = []
+    v, used, t = 0, 0, 0
+    meter.tick()
+    while True:
+        limit = min(used + 1, classes)
+        while t < limit:
+            m = members[t]
+            deg = cls_deg[t]
+            done = []
+            over = False
+            for rest, edge in by_last[v]:
+                if rest & m == rest:
+                    done.append(edge)
+                    for u in edge:
+                        deg[u] += 1
+                        if deg[u] > k:
+                            over = True
+            if not over:
+                break
+            _shift(deg, done, -1)
+            t += 1
+        if t < limit:
+            stack.append((t, used, done))
+            members[t] |= 1 << v
+            if t == used:
+                used += 1
+            v += 1
+            if v == n:
+                return members
+            meter.tick()
+            t = 0
+        elif stack:
+            v -= 1
+            t, used, done = stack.pop()
+            members[t] &= ~(1 << v)
+            _shift(cls_deg[t], done, -1)
+            t += 1
+        else:
+            return None
 
 
 def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> OracleResult:
@@ -258,16 +289,12 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
     meter = _NodeMeter(node_budget)
     for classes in range(1, h.n + 1):
         try:
-            assign = _partition_search(h, k, classes, meter)
+            members = _partition_search(h, k, classes, meter)
         except _BudgetExceeded:
             return OracleResult("chi_k", k, None, "budget_exceeded", None,
                                 meter.spent, time.perf_counter() - start)
-        if assign is not None:
-            witness = tuple(
-                tuple(v for v in range(h.n) if assign[v] == t)
-                for t in range(classes)
-                if t in assign
-            )
+        if members is not None:
+            witness = tuple(_mask_to_vertices(m) for m in members if m)
             return OracleResult("chi_k", k, classes, "exact", witness,
                                 meter.spent, time.perf_counter() - start)
     raise AssertionError("singleton partition must have succeeded")

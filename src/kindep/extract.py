@@ -84,14 +84,14 @@ class Partition:
 def _finalize(h: Hypergraph, k: int, algorithm: str,
               vertices: tuple[int, ...], trace: tuple[TraceStep, ...]) -> ExtractionResult:
     """Re-verify and package; the re-check is the module's safety net."""
-    violation = h.k_independence_violation(vertices, k)
-    if violation is not None:
-        raise ExtractionDefect(
-            f"{algorithm} returned a non-{k}-independent set: vertex "
-            f"{violation.vertex} has induced degree > {k}"
-        )
     deg = h.induced_degrees(vertices)
     certified = max(deg.values(), default=0)
+    if certified > k:
+        worst = min(v for v, d in deg.items() if d == certified)
+        raise ExtractionDefect(
+            f"{algorithm} returned a non-{k}-independent set: vertex "
+            f"{worst} has induced degree > {k}"
+        )
     return ExtractionResult(algorithm, k, vertices, certified, trace)
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from kindep import gen_complete, write_hg
+from kindep import gen_complete, gen_random_uniform, write_hg
 from kindep.cli import main
 
 K4_TEXT = write_hg(gen_complete(4, 3))
@@ -184,6 +184,17 @@ def test_exact_chi(k4_file, capsys):
     code, _, err = run_cli(capsys, "exact", k4_file, "-k", "0", "--quantity", "chi")
     assert code == 2
     assert "k >= 1" in err
+
+
+def test_exact_chi_deeper_than_recursion_limit(tmp_path, capsys):
+    # the partition search assigns all 1500 vertices in one branch
+    path = tmp_path / "sparse.hg"
+    path.write_text(write_hg(gen_random_uniform(1500, 300, 2, 5)))
+    code, out, err = run_cli(capsys, "exact", str(path), "-k", "1", "--quantity", "chi")
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert (doc["status"], doc["value"]) == ("exact", 2)
 
 
 def test_exact_budget_exceeded_is_not_an_error(tmp_path, capsys):

@@ -226,3 +226,10 @@ def test_r388_instance_facts():
 def test_band_peel_reaches_f_target_on_r388():
     h = load_hg(str(R388))
     assert band_peel(h, 1).size >= 3
+
+
+def test_defect_names_the_worst_vertex(k4):
+    # every K4 vertex keeps induced degree 3; the lowest id is named
+    with pytest.raises(ExtractionDefect, match=r"^greedy_peel returned a non-0-independent "
+                                               r"set: vertex 0 has induced degree > 0$"):
+        greedy_peel(k4, 0, threshold=4)

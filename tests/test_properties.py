@@ -1,10 +1,12 @@
-"""Property tests: the fast extraction and generation paths against plain
-reference implementations kept here.
+"""Property tests: the fast extraction, generation and oracle paths against
+plain reference implementations kept here.
 
 The references are the straightforward versions: a peel that finds each
 victim by an O(n) scan, an augmentation that re-checks the whole set with
-`is_k_independent`, and an unranker that walks the first element up one id
-at a time.  Hypothesis runs derandomized, so every run draws the same cases.
+`is_k_independent`, an unranker that walks the first element up one id
+at a time, and exact oracles that recount every induced degree at every
+search node and recurse once per assigned vertex.  Hypothesis runs
+derandomized, so every run draws the same cases.
 """
 
 import math
@@ -16,11 +18,14 @@ from hypothesis import strategies as st
 
 from kindep import (
     Hypergraph,
+    alpha_k_exact,
     band_peel,
     best_extract,
+    chi_k_exact,
     greedy_peel,
     partition_extract,
 )
+from kindep.exact import OracleResult
 from kindep.extract import _augment
 from kindep.generators import _unrank_subset
 
@@ -173,3 +178,164 @@ def test_unrank_matches_linear_walk(data, s):
     for r in (0, rank, total - 1):
         assert _unrank_subset(r, n, s) == walk_unrank(r, n, s)
 
+
+
+# -- reference oracles: a full degree recount per search node ----------------
+
+class RefBudgetExceeded(Exception):
+    pass
+
+
+class RefMeter:
+    def __init__(self, limit):
+        self.spent = 0
+        self.limit = limit
+
+    def tick(self):
+        self.spent += 1
+        if self.limit is not None and self.spent > self.limit:
+            raise RefBudgetExceeded
+
+
+def mask_vertices(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def max_violator(h, smask, k):
+    deg = [0] * h.n
+    for emask, edge in zip(h.edge_masks, h.edges):
+        if emask & smask == emask:
+            for v in edge:
+                deg[v] += 1
+    worst, worst_deg = -1, k
+    for v in range(h.n):
+        if smask >> v & 1 and deg[v] > worst_deg:
+            worst, worst_deg = v, deg[v]
+    return worst
+
+
+def witness_union(h, smask, v, k):
+    out = 1 << v
+    found = 0
+    for emask in h.edge_masks:
+        if emask >> v & 1 and emask & smask == emask:
+            out |= emask
+            found += 1
+            if found == k + 1:
+                break
+    return out
+
+
+def ref_alpha(h, k, node_budget=None):
+    meter = RefMeter(node_budget)
+    best_mask = (1 << h.n) - 1
+    while (v := max_violator(h, best_mask, k)) >= 0:
+        best_mask &= ~(1 << v)
+    best = bin(best_mask).count("1")
+
+    def explore(smask, required):
+        nonlocal best, best_mask
+        meter.tick()
+        size = bin(smask).count("1")
+        if size <= best:
+            return
+        v = max_violator(h, smask, k)
+        if v < 0:
+            best, best_mask = size, smask
+            return
+        union = witness_union(h, smask, v, k)
+        req = required
+        for u in [v] + [u for u in mask_vertices(union) if u != v]:
+            bit = 1 << u
+            if req & bit:
+                continue
+            explore(smask & ~bit, req)
+            req |= bit
+
+    try:
+        explore((1 << h.n) - 1, 0)
+    except RefBudgetExceeded:
+        return OracleResult("alpha_k", k, None, "budget_exceeded", None, meter.spent, 0.0)
+    return OracleResult("alpha_k", k, best, "exact", mask_vertices(best_mask), meter.spent, 0.0)
+
+
+def ref_partition_search(h, k, classes, meter):
+    by_last = [[] for _ in range(h.n)]
+    for i, edge in enumerate(h.edges):
+        by_last[edge[-1]].append(i)
+    assign = [-1] * h.n
+    cls_deg = [[0] * h.n for _ in range(classes)]
+
+    def place(v, t):
+        done = [i for i in by_last[v] if all(assign[u] == t for u in h.edges[i] if u != v)]
+        touched = []
+        for i in done:
+            for u in h.edges[i]:
+                cls_deg[t][u] += 1
+                touched.append(u)
+                if cls_deg[t][u] > k:
+                    for w in touched:
+                        cls_deg[t][w] -= 1
+                    return None
+        return done
+
+    def descend(v, used):
+        if v == h.n:
+            return True
+        meter.tick()
+        for t in range(min(used + 1, classes)):
+            assign[v] = t
+            done = place(v, t)
+            if done is not None:
+                if descend(v + 1, max(used, t + 1)):
+                    return True
+                for i in done:
+                    for u in h.edges[i]:
+                        cls_deg[t][u] -= 1
+            assign[v] = -1
+        return False
+
+    return assign if descend(0, 0) else None
+
+
+def ref_chi(h, k, node_budget=None):
+    meter = RefMeter(node_budget)
+    for classes in range(1, h.n + 1):
+        try:
+            assign = ref_partition_search(h, k, classes, meter)
+        except RefBudgetExceeded:
+            return OracleResult("chi_k", k, None, "budget_exceeded", None, meter.spent, 0.0)
+        if assign is not None:
+            witness = tuple(
+                tuple(v for v in range(h.n) if assign[v] == t)
+                for t in range(classes)
+                if t in assign
+            )
+            return OracleResult("chi_k", k, classes, "exact", witness, meter.spent, 0.0)
+    raise AssertionError("singleton partition must have succeeded")
+
+
+@SETTINGS
+@given(hypergraphs(n_max=14), st.integers(0, 2))
+def test_alpha_matches_recount_reference(h, k):
+    assert alpha_k_exact(h, k).to_json_dict() == ref_alpha(h, k).to_json_dict()
+
+
+@SETTINGS
+@given(hypergraphs(n_max=14), st.integers(0, 2), st.integers(1, 40))
+def test_alpha_budget_trips_at_reference_node(h, k, budget):
+    got = alpha_k_exact(h, k, node_budget=budget).to_json_dict()
+    assert got == ref_alpha(h, k, node_budget=budget).to_json_dict()
+
+
+@SETTINGS
+@given(hypergraphs(n_max=14), st.integers(1, 2))
+def test_chi_matches_recursive_reference(h, k):
+    assert chi_k_exact(h, k).to_json_dict() == ref_chi(h, k).to_json_dict()
+
+
+@SETTINGS
+@given(hypergraphs(n_max=14), st.integers(1, 2), st.integers(1, 40))
+def test_chi_budget_trips_at_reference_node(h, k, budget):
+    got = chi_k_exact(h, k, node_budget=budget).to_json_dict()
+    assert got == ref_chi(h, k, node_budget=budget).to_json_dict()
