@@ -81,13 +81,20 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _incident_edges(h: Hypergraph) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
-    """(edge mask, edge) for every edge through each vertex, in edge order."""
-    masks, edges = h.edge_masks, h.edges
-    return [tuple((masks[i], edges[i]) for i in inc) for inc in h.incidence]
+def _incident_edges(h: Hypergraph) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """(edge mask, edge) for every edge through each vertex, in edge order.
+
+    Built here rather than from the cached `h.incidence`, so a search
+    leaves nothing behind on the hypergraphs a caller keeps alive.
+    """
+    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(h.n)]
+    for pair in zip(h.edge_masks, h.edges):
+        for v in pair[1]:
+            inc[v].append(pair)
+    return inc
 
 
-def _drop(deg: list[int], inc: tuple, smask: int) -> list[tuple[int, ...]]:
+def _drop(deg: list[int], inc: list, smask: int) -> list[tuple[int, ...]]:
     """Decrement the endpoints of every edge of `inc` that lies inside
     smask; returns those edges so the caller can restore `deg`.  Taking
     the edges through u this way drops deg[u] itself to 0."""
@@ -111,7 +118,7 @@ def _greedy_seed(h: Hypergraph, k: int, inc: list) -> int:
     """Peel worst violators (max degree, lowest id) until k-independent;
     mask of the survivors."""
     smask = (1 << h.n) - 1
-    deg = list(h.degrees)
+    deg = [len(edges) for edges in inc]
     top = max(deg)
     while top > k:
         v = deg.index(top)
@@ -145,7 +152,7 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     inc = _incident_edges(h)
     best_mask = _greedy_seed(h, k, inc)
     best = bin(best_mask).count("1")
-    deg = list(h.degrees)
+    deg = [len(edges) for edges in inc]
 
     def explore(smask: int, required: int, size: int) -> None:
         nonlocal best, best_mask
