@@ -249,13 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, table: bool = False,
-               budget: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, budget: bool = False) -> None:
         p.add_argument("--output", help="write output to this path")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        if table:
-            fmt.add_argument("--table", action="store_true", help="aligned table output")
         if budget:
             p.add_argument("--budget", type=_nonneg, default=0,
                            help="search node budget, 0 = unlimited")
@@ -274,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate every lower bound")
     p_bounds.add_argument("file", help=".hg instance")
     p_bounds.add_argument("-k", type=_nonneg, required=True, help="independence parameter")
-    common(p_bounds, table=True)
+    common(p_bounds)
+    fmt = p_bounds.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
+    fmt.add_argument("--table", action="store_true", help="aligned table output")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_extract = sub.add_parser("extract", help="construct a k-independent set")

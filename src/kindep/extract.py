@@ -12,13 +12,13 @@ winner to a maximal set.  Every result is re-verified against the input
 hypergraph before it is returned; a failed re-verification raises
 ExtractionDefect and is a bug by definition, never a degraded answer.
 
-All reported vertex ids refer to the caller's hypergraph even where the
-recursion internally relabels subinstances.
+All reported vertex ids refer to the caller's hypergraph, also where
+band_peel's fallback works on an induced copy of its remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from itertools import compress
@@ -98,9 +98,10 @@ def _finalize(h: Hypergraph, k: int, algorithm: str,
 class _PeelState:
     """Mutable view of a hypergraph under vertex deletion.
 
-    Tracks alive vertices, alive edges (all endpoints alive), and the
-    induced degree of every alive vertex, so one deletion costs only
-    the edges it kills: O(s * deg v).
+    Tracks alive vertices, alive edges (all endpoints alive), their
+    counts n_alive and e_alive, and the induced degree of every vertex,
+    so one deletion costs only the edges it kills: O(s * deg v).  A
+    deleted vertex's degree drops to 0, as all its edges die with it.
 
     `peel` picks each victim from a lazy max-degree heap of int keys
     v - deg * n, so the smallest key is the highest degree with ties to
@@ -109,7 +110,8 @@ class _PeelState:
     (or dropped once below the threshold, which it can never regain).
     Each re-key pays for an earlier degree decrement, so a peel costs
     O((n + s * e) log n) in all and its heap is freed when it returns.
-    A state is peeled once.
+    A state can be peeled again: each call heaps only the vertices at or
+    above its threshold (at least 1), and those are always alive.
     """
 
     def __init__(self, h: Hypergraph) -> None:
@@ -117,6 +119,7 @@ class _PeelState:
         self.alive = [True] * h.n
         self.edge_alive = [True] * h.e
         self.deg = list(h.degrees)
+        self.n_alive, self.e_alive = h.n, h.e
 
     def peel(self, threshold: int, cap: int | None = None) -> list[TraceStep]:
         """Remove the alive vertex of maximum induced degree (ties to
@@ -126,7 +129,7 @@ class _PeelState:
         deg, alive, edge_alive = self.deg, self.alive, self.edge_alive
         heap = [v - d * n for v, d in enumerate(deg) if d >= threshold]
         heapify(heap)
-        trace = []
+        trace, killed = [], 0
         left = n if cap is None else cap
         while heap and left:
             key = heap[0]
@@ -141,12 +144,16 @@ class _PeelState:
                 left -= 1
                 trace.append(TraceStep("remove", v, d))
                 alive[v] = False
+                deg[v] = 0
+                killed += d
                 for i in incidence[v]:
                     if edge_alive[i]:
                         edge_alive[i] = False
                         for u in edges[i]:
                             if u != v:
                                 deg[u] -= 1
+        self.n_alive -= len(trace)
+        self.e_alive -= killed
         return trace
 
     def survivors(self) -> tuple[int, ...]:
@@ -173,141 +180,134 @@ def greedy_peel(h: Hypergraph, k: int, threshold: int | None = None) -> Extracti
 def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionResult:
     """Banded threshold peeling realizing the f(x) * n guarantee.
 
-    One phase: with the instance in band r >= 1 (that is,
-    (s/2) r (k+1) < d <= (s/2)(r+1)(k+1)), remove up to T = ceil(t)
-    vertices of current degree >= s(r+1)(k+1)/2, where
+    One phase: with the alive remainder (n vertices, e edges) in band
+    r >= 1 (that is, (s/2) r (k+1) < d <= (s/2)(r+1)(k+1)), remove up to
+    T = ceil(t) vertices of current degree >= s(r+1)(k+1)/2, where
     t = (2e - n r (k+1)) / ((r+2)(k+1)); the remainder lands in a lower
-    band and is handled recursively.  Band 0 is plain greedy peeling.
-    Each level also runs greedy_peel on its own instance and returns
-    whichever set is larger (ties favor the banded recursion).
+    band and the next phase runs on it.  Band 0 is plain greedy peeling.
+    All phases peel one `_PeelState`, so a phase costs O(n) plus its
+    removals, and the trace is the phases concatenated in input ids.
+    If a phase removes nothing, the remainder gets the best of greedy
+    and (for k >= 1) partition extraction instead.
+
+    Greedy peeling of a remainder never beats this: a band threshold is
+    at least k+1, so greedy on it removes the same victims as the phase
+    (maximum degree, lowest id) and then goes on as greedy on the next
+    remainder.  By induction over the phases its set is never larger.
 
     `probe`, when given, collects one diagnostics dict per phase for
     the verification harness.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    # band: the least r >= 0 with d <= (s/2)(r+1)(k+1), that is, with
-    # x = 2e/(n(k+1)) <= r+1
-    r = max(0, -(-2 * h.e // (h.n * (k + 1))) - 1)
-    if r == 0:
-        inner = greedy_peel(h, k)
-        return replace(inner, algorithm="band_peel")
-
-    t_num, t_den = 2 * h.e - h.n * r * (k + 1), (r + 2) * (k + 1)
-    cap = -(-t_num // t_den)
     state = _PeelState(h)
-    # degree threshold s(r+1)(k+1)/2, rounded up: degrees are integers
-    trace = state.peel(-(-h.s * (r + 1) * (k + 1) // 2), cap)
-
-    removed = len(trace)
-    if probe is not None:
-        survivors = state.survivors()
-        rem_e = sum(state.edge_alive)
-        rem_n = len(survivors)
-        entry = {
-            "n": h.n, "e": h.e, "k": k, "r": r, "x": Fraction(2 * h.e, h.n * (k + 1)),
-            "t": Fraction(t_num, t_den), "cap": cap,
-            "removed": removed, "early_stop": removed < cap,
-            "remainder_n": rem_n, "remainder_e": rem_e,
-            "remainder_d_ok": Fraction(h.s * rem_e, rem_n) <= Fraction(h.s * r * (k + 1), 2)
-            if removed == cap and rem_n else None,
-        }
-        if removed < cap and k >= 1:
-            rem_delta = max((state.deg[v] for v in survivors), default=0)
-            entry["stop_classes_ok"] = -(-rem_delta // k) <= r + 1
-        probe.append(entry)
-
-    if removed == 0:
-        # threshold found no vertex at all: fall back to the best of the
-        # other engines rather than recursing on an unchanged instance
-        contenders = [greedy_peel(h, k)]
-        if k >= 1:
-            contenders.append(partition_extract(h, k))
-        winner = max(contenders, key=lambda res: res.size)
-        return replace(winner, algorithm="band_peel")
-
-    survivors = state.survivors()
-    del state  # keep one level's peel state alive at a time
-    remainder = h.induced(survivors)
-    rec = band_peel(remainder, k, probe)
-    rec_vertices = tuple(survivors[i] for i in rec.vertices)
-    rec_trace = tuple(trace) + tuple(
-        TraceStep(step.op, survivors[step.vertex], step.degree) for step in rec.trace
-    )
-    plain = greedy_peel(h, k)
-    if plain.size > len(rec_vertices):
-        return replace(plain, algorithm="band_peel")
-    return _finalize(h, k, "band_peel", rec_vertices, rec_trace)
+    trace = []
+    while True:
+        n, e = state.n_alive, state.e_alive
+        # band: the least r >= 0 with d <= (s/2)(r+1)(k+1), that is, with
+        # x = 2e/(n(k+1)) <= r+1
+        r = max(0, -(-2 * e // (n * (k + 1))) - 1)
+        if r == 0:
+            trace += state.peel(k + 1)
+            vertices = state.survivors()
+            break
+        t_num, t_den = 2 * e - n * r * (k + 1), (r + 2) * (k + 1)
+        cap = -(-t_num // t_den)
+        # degree threshold s(r+1)(k+1)/2, rounded up: degrees are integers
+        phase = state.peel(-(-h.s * (r + 1) * (k + 1) // 2), cap)
+        trace += phase
+        removed = len(phase)
+        if probe is not None:
+            rem_n, rem_e = state.n_alive, state.e_alive
+            entry = {
+                "n": n, "e": e, "k": k, "r": r, "x": Fraction(2 * e, n * (k + 1)),
+                "t": Fraction(t_num, t_den), "cap": cap,
+                "removed": removed, "early_stop": removed < cap,
+                "remainder_n": rem_n, "remainder_e": rem_e,
+                "remainder_d_ok": Fraction(h.s * rem_e, rem_n) <= Fraction(h.s * r * (k + 1), 2)
+                if removed == cap and rem_n else None,
+            }
+            if removed < cap and k >= 1:
+                entry["stop_classes_ok"] = -(-max(state.deg) // k) <= r + 1
+            probe.append(entry)
+        if removed == 0:
+            # threshold found no vertex at all: fall back to the best of the
+            # other engines rather than peeling an unchanged remainder
+            survivors = state.survivors()
+            rest = h.induced(survivors) if state.n_alive < h.n else h
+            contenders = [greedy_peel(rest, k)]
+            if k >= 1:
+                contenders.append(partition_extract(rest, k))
+            winner = max(contenders, key=lambda res: res.size)
+            vertices = tuple(survivors[v] for v in winner.vertices)
+            trace += [TraceStep(t.op, survivors[t.vertex], t.degree) for t in winner.trace]
+            break
+    return _finalize(h, k, "band_peel", vertices, tuple(trace))
 
 
 def k_partition(h: Hypergraph, k: int) -> Partition:
     """Partition V into ceil(delta/k) classes of induced max degree <= k.
 
     Local search from a round-robin start: while some vertex exceeds k
-    inside its class, move the worst offender to the class where it
-    would have the fewest fully-contained edges.  Each move strictly
-    lowers the count of single-class edges, so at most e moves happen.
+    inside its class, move the worst offender (maximum degree, lowest
+    id) to the class where it would have the fewest fully-contained
+    edges.  Each move strictly lowers the count of single-class edges,
+    so at most e moves happen.
+
+    Each vertex's degree inside its own class is kept across moves: a
+    move costs O(c * s * deg v) to pick the target, O(s * deg v) to
+    update the degrees of the edges the mover leaves and closes, and
+    O(n) to find the next worst vertex.  One from-scratch recount after
+    convergence gives the class maxima and re-checks every class.
     """
     if k < 1:
         raise ValueError(f"partitioning requires k >= 1, got {k}")
     delta = h.max_degree
     c = max(1, -(-delta // k))
+    edges, incidence = h.edges, h.incidence
     assign = [v % c for v in range(h.n)]
     moves = []
     hard_cap = 4 * h.e + 2 * h.n + 16
 
     def mono_degrees() -> list[int]:
         deg = [0] * h.n
-        for edge in h.edges:
+        for edge in edges:
             t = assign[edge[0]]
             if all(assign[u] == t for u in edge[1:]):
                 for u in edge:
                     deg[u] += 1
         return deg
 
-    def prospective(v: int, t: int) -> int:
-        return sum(
-            1
-            for i in h.incidence[v]
-            if all(assign[u] == t for u in h.edges[i] if u != v)
-        )
+    def closed_in(v: int, t: int) -> list[tuple[int, ...]]:
+        """Edges through v whose other endpoints all lie in class t."""
+        return [edges[i] for i in incidence[v] if all(assign[u] == t for u in edges[i] if u != v)]
 
-    while True:
-        deg = mono_degrees()
-        worst, worst_deg = -1, k
-        for v in range(h.n):
-            if deg[v] > worst_deg:
-                worst, worst_deg = v, deg[v]
-        if worst < 0:
-            break
+    deg = mono_degrees()
+    while (worst_deg := max(deg)) > k:
+        worst = deg.index(worst_deg)
         if len(moves) >= hard_cap:
             raise ExtractionDefect("partition local search failed to converge")
-        options = [
-            (prospective(worst, t), t)
-            for t in range(c)
-            if t != assign[worst]
-        ]
+        options = [(len(closed_in(worst, t)), t) for t in range(c) if t != assign[worst]]
         best_gain, target = min(options, default=(worst_deg, -1))
         if best_gain >= worst_deg:
             # the other c-1 classes close at most delta - worst_deg
             # < (c-1)k of the worst vertex's edges, so one closes < k
             raise ExtractionDefect("partition local search found no improving move")
         moves.append(TraceStep("move", worst, worst_deg))
+        for edge in closed_in(worst, assign[worst]):
+            for u in edge:
+                deg[u] -= 1
         assign[worst] = target
+        for edge in closed_in(worst, target):
+            for u in edge:
+                deg[u] += 1
 
-    classes = tuple(
-        tuple(v for v in range(h.n) if assign[v] == t) for t in range(c)
-    )
-    class_max = []
-    for cls in classes:
-        if cls:
-            induced = h.induced_degrees(cls)
-            worst_in_cls = max(induced.values(), default=0)
-        else:
-            worst_in_cls = 0
-        if worst_in_cls > k:
-            raise ExtractionDefect("partition converged with an invalid class")
-        class_max.append(worst_in_cls)
+    class_max = [0] * c
+    for v, d in enumerate(mono_degrees()):
+        class_max[assign[v]] = max(class_max[assign[v]], d)
+    if max(class_max) > k:
+        raise ExtractionDefect("partition converged with an invalid class")
+    classes = tuple(tuple(v for v in range(h.n) if assign[v] == t) for t in range(c))
     return Partition(k, classes, tuple(class_max), tuple(moves))
 
 

@@ -195,6 +195,13 @@ def _all_subsets(n: int, s: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), s))
 
 
+def _exhaustive_graph(cfg: VerifyConfig, slots: list[tuple[int, ...]],
+                      index: int) -> Hypergraph:
+    """The edges at the set bits of index over the subset list `slots`."""
+    edges = tuple(slots[b] for b in range(len(slots)) if index >> b & 1)
+    return Hypergraph(cfg.exhaustive_n, cfg.exhaustive_s, edges)
+
+
 def build_exhaustive_corpus(cfg: VerifyConfig) -> list[CorpusInstance]:
     """Every edge subset of the complete s-uniform hypergraph on n
     vertices, crossed with every configured k.  Instance x<i>k<k> takes
@@ -205,8 +212,7 @@ def build_exhaustive_corpus(cfg: VerifyConfig) -> list[CorpusInstance]:
     slots = _all_subsets(cfg.exhaustive_n, cfg.exhaustive_s)
     out = []
     for index in range(1 << len(slots)):
-        edges = tuple(slots[b] for b in range(len(slots)) if index >> b & 1)
-        h = Hypergraph(cfg.exhaustive_n, cfg.exhaustive_s, edges)
+        h = _exhaustive_graph(cfg, slots, index)
         for k in cfg.exhaustive_k:
             out.append(CorpusInstance(f"x{index}k{k}", h, k, "exhaustive"))
     return out
@@ -245,11 +251,9 @@ def corpus_instance(cfg: VerifyConfig, uid: str) -> CorpusInstance:
         idx_part, _, k_part = uid[1:].partition("k")
         index, k = int(idx_part), int(k_part)
         slots = _all_subsets(cfg.exhaustive_n, cfg.exhaustive_s)
-        edges = tuple(slots[b] for b in range(len(slots)) if index >> b & 1)
-        return CorpusInstance(uid, Hypergraph(cfg.exhaustive_n, cfg.exhaustive_s, edges), k, "exhaustive")
+        return CorpusInstance(uid, _exhaustive_graph(cfg, slots, index), k, "exhaustive")
     if uid.startswith("r"):
-        inst = _draw_random_instance(cfg, int(uid[1:]))
-        return inst
+        return _draw_random_instance(cfg, int(uid[1:]))
     if uid.startswith("p"):
         return _draw_replication_instance(cfg, int(uid[1:]))
     raise ConfigError(f"unrecognized instance uid {uid!r}")
@@ -604,24 +608,17 @@ def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
         raise ConfigError("no instances in corpus")
     sink = DumpSink(cfg.output_dir if out_dir is None else out_dir)
     alphas = _AlphaCache(cfg.alpha_budget)
-    results = []
-    for name in CHECK_ORDER:
-        if name not in cfg.checks:
-            continue
-        if name == "bound-soundness":
-            results.append(check_bound_soundness(pairs, sink, alphas, cfg.fault_injection))
-        elif name == "extraction-achievement":
-            results.append(check_extraction_achievement(pairs, sink))
-        elif name == "fg-properties":
-            results.append(check_fg_properties(sink))
-        elif name == "replication":
-            results.append(check_replication(cfg, sink))
-        elif name == "partition":
-            results.append(check_partition(pairs, sink, cfg.chi_budget))
-        elif name == "oracle-self-agreement":
-            results.append(check_oracle_self_agreement(pairs, sink, alphas))
-        elif name == "remark-regime":
-            results.append(check_remark_regime(pairs, sink))
+    runners = {
+        "bound-soundness": lambda: check_bound_soundness(pairs, sink, alphas,
+                                                         cfg.fault_injection),
+        "extraction-achievement": lambda: check_extraction_achievement(pairs, sink),
+        "fg-properties": lambda: check_fg_properties(sink),
+        "replication": lambda: check_replication(cfg, sink),
+        "partition": lambda: check_partition(pairs, sink, cfg.chi_budget),
+        "oracle-self-agreement": lambda: check_oracle_self_agreement(pairs, sink, alphas),
+        "remark-regime": lambda: check_remark_regime(pairs, sink),
+    }
+    results = [runners[name]() for name in CHECK_ORDER if name in cfg.checks]
     passed = all(r.passed for r in results)
     lines = [f"corpus: {len(exhaustive)} exhaustive pairs, {len(randoms)} random pairs"]
     for r in results:

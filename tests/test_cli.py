@@ -124,6 +124,21 @@ def test_budget_rejected_where_unused(k4_file, capsys, command):
     assert "--budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("extract", "-k", "0"),
+    ("exact", "-k", "0"),
+    ("verify",),
+    ("compare",),
+])
+def test_json_flag_only_on_bounds(k4_file, capsys, argv):
+    command, *rest = argv
+    files = [] if command == "verify" else [k4_file]
+    code, out, err = run_cli(capsys, command, *files, *rest, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--json" in err
+
+
 def test_table_flag_rejected_elsewhere(k4_file, capsys):
     code, _, err = run_cli(capsys, "exact", k4_file, "-k", "0", "--table")
     assert code == 2

@@ -233,3 +233,13 @@ def test_defect_names_the_worst_vertex(k4):
     with pytest.raises(ExtractionDefect, match=r"^greedy_peel returned a non-0-independent "
                                                r"set: vertex 0 has induced degree > 0$"):
         greedy_peel(k4, 0, threshold=4)
+
+
+def test_band_peel_deep_band_regression():
+    # 149 phases at k = 0: the figures were recorded from the recursive
+    # implementation, which built an induced copy per phase
+    h = gen_random_uniform(300, 40000, 3, 1)
+    probe = []
+    res = band_peel(h, 0, probe=probe)
+    assert len(probe) == 149
+    assert res.size == 35

@@ -2,11 +2,13 @@
 plain reference implementations kept here.
 
 The references are the straightforward versions: a peel that finds each
-victim by an O(n) scan, an augmentation that re-checks the whole set with
-`is_k_independent`, an unranker that walks the first element up one id
-at a time, and exact oracles that recount every induced degree at every
-search node and recurse once per assigned vertex.  Hypothesis runs
-derandomized, so every run draws the same cases.
+victim by an O(n) scan, a band recursion over induced copies, a
+partition search that recounts every class degree per move, an
+augmentation that re-checks the whole set with `is_k_independent`, an
+unranker that walks the first element up one id at a time, and exact
+oracles that recount every induced degree at every search node and
+recurse once per assigned vertex.  Hypothesis runs derandomized, so
+every run draws the same cases.
 """
 
 import math
@@ -17,16 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kindep import (
+    ExtractionDefect,
     Hypergraph,
     alpha_k_exact,
     band_peel,
     best_extract,
     chi_k_exact,
     greedy_peel,
+    k_partition,
     partition_extract,
 )
 from kindep.exact import OracleResult
-from kindep.extract import _augment
+from kindep.extract import _augment, _PeelState
 from kindep.generators import _unrank_subset
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -115,6 +119,107 @@ def test_greedy_peel_matches_scan_reference(h, k):
 @given(hypergraphs(), st.integers(0, 3))
 def test_band_peel_matches_scan_reference(h, k):
     assert as_pair(band_peel(h, k)) == ref_band(h, k)
+
+
+def ref_band_probe(h, k, probe):
+    """Append band_peel's probe entries, one recursion level per phase,
+    reading each remainder's statistics off a fresh induced copy."""
+    x = Fraction(2 * h.e, h.n * (k + 1))
+    r = max(0, math.ceil(x) - 1)
+    if r == 0:
+        return
+    t = Fraction(2 * h.e - h.n * r * (k + 1), (r + 2) * (k + 1))
+    cap = math.ceil(t)
+    tau_twice = h.s * (r + 1) * (k + 1)
+    survivors, steps = scan_peel(h, lambda done, d: done < cap and 2 * d >= tau_twice)
+    rest = h.induced(survivors)
+    removed = len(steps)
+    entry = {
+        "n": h.n, "e": h.e, "k": k, "r": r, "x": x, "t": t, "cap": cap,
+        "removed": removed, "early_stop": removed < cap,
+        "remainder_n": rest.n, "remainder_e": rest.e,
+        "remainder_d_ok": rest.avg_degree <= Fraction(h.s * r * (k + 1), 2)
+        if removed == cap else None,
+    }
+    if removed < cap and k >= 1:
+        entry["stop_classes_ok"] = math.ceil(Fraction(rest.max_degree, k)) <= r + 1
+    probe.append(entry)
+    if removed:
+        ref_band_probe(rest, k, probe)
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_band_peel_probe_matches_recursive_reference(h, k):
+    probe, ref = [], []
+    band_peel(h, k, probe)
+    ref_band_probe(h, k, ref)
+    assert probe == ref
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(1, 30), st.integers(1, 30), st.integers(1, 40))
+def test_peel_state_peeled_twice_removes_only_live_vertices(h, first, second, cap):
+    state = _PeelState(h)
+    gone = [t.vertex for t in state.peel(first, cap)]
+    survivors = state.survivors()
+    again = [t.vertex for t in state.peel(second)]
+    assert not set(gone) & set(again)
+    # the second peel is a fresh greedy peel of the induced remainder
+    rest = h.induced(survivors)
+    _, ref_steps = scan_peel(rest, lambda _, d: d >= second)
+    assert [(t.vertex, t.degree) for t in state.peel(second)] == []
+    assert again == [survivors[v] for v, _ in ref_steps]
+    alive = set(state.survivors())
+    induced = h.induced_degrees(alive)
+    assert state.deg == [induced.get(v, 0) for v in range(h.n)]
+    assert (state.n_alive, state.e_alive) == (len(alive), sum(state.edge_alive))
+    assert state.e_alive == sum(induced.values()) // h.s
+
+
+# -- reference partition: a full mono-degree recount per move -----------------
+
+def ref_k_partition(h, k):
+    """Classes, class maxima and (vertex, degree) moves of the local
+    search, recounting every class's induced degrees before each move."""
+    c = max(1, -(-h.max_degree // k))
+    assign = [v % c for v in range(h.n)]
+    moves = []
+
+    def mono_degrees():
+        deg = [0] * h.n
+        for edge in h.edges:
+            if len({assign[u] for u in edge}) == 1:
+                for u in edge:
+                    deg[u] += 1
+        return deg
+
+    while True:
+        deg = mono_degrees()
+        worst = max(range(h.n), key=lambda v: (deg[v], -v))
+        if deg[worst] <= k:
+            break
+        options = [
+            (sum(1 for edge in h.edges
+                 if worst in edge and all(assign[u] == t for u in edge if u != worst)), t)
+            for t in range(c) if t != assign[worst]
+        ]
+        gain, target = min(options, default=(deg[worst], -1))
+        if gain >= deg[worst]:
+            raise ExtractionDefect("no improving move")
+        moves.append((worst, deg[worst]))
+        assign[worst] = target
+    classes = tuple(tuple(v for v in range(h.n) if assign[v] == t) for t in range(c))
+    maxima = tuple(max(h.induced_degrees(cls).values(), default=0) for cls in classes)
+    return classes, maxima, moves
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(1, 3))
+def test_k_partition_matches_recount_reference(h, k):
+    part = k_partition(h, k)
+    got = part.classes, part.class_max_degrees, [(t.vertex, t.degree) for t in part.moves]
+    assert got == ref_k_partition(h, k)
 
 
 # -- reference augmentation: whole-set re-check per candidate ----------------
