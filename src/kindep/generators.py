@@ -12,6 +12,7 @@ on a fixed word stream.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -84,11 +85,11 @@ def _unrank_subset(rank: int, n: int, s: int) -> tuple[int, ...]:
 
 
 def gen_complete(n: int, s: int) -> Hypergraph:
-    """Complete s-uniform hypergraph: all C(n, s) subsets as edges."""
+    """Complete s-uniform hypergraph: all C(n, s) subsets as edges, in the
+    lexicographic order `_unrank_subset` numbers them by."""
     if s > n:
         raise HypergraphError(f"uniformity {s} exceeds vertex count {n}")
-    edges = tuple(_unrank_subset(r, n, s) for r in range(comb(n, s)))
-    return Hypergraph(n, s, edges)
+    return Hypergraph(n, s, tuple(combinations(range(n), s)))
 
 
 def gen_random_uniform(n: int, m: int, s: int, seed: int) -> Hypergraph:

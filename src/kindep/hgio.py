@@ -16,6 +16,7 @@ hypergraphs always serialize to identical bytes.
 from __future__ import annotations
 
 import os
+from operator import lt
 
 from kindep.hypergraph import Hypergraph, HypergraphError
 
@@ -28,23 +29,77 @@ class HgParseError(HypergraphError):
         self.line_no = line_no
 
 
+class _VertexIds(dict):
+    """Memo from an id field's text to its 0-based vertex id.
+
+    A file names each vertex many times, so each distinct field is
+    converted by int() once and every edge shares the resulting ints.
+    """
+
+    def __missing__(self, field: str) -> int:
+        v = self[field] = int(field) - 1
+        return v
+
+
 def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text into a canonical Hypergraph.
 
     Comment lines and blank lines are skipped.  Out-of-order vertex ids
     within an edge line are tolerated and canonicalized; duplicate ids,
     wrong arity, out-of-range ids, and duplicate edges are errors.
+
+    One pass over the lines.  An edge line whose ids already increase
+    inside [1, n] is range-checked at its ends only, and while every
+    edge is greater than the one before it no duplicate can occur, so a
+    canonical file (everything `write_hg` writes) is never sorted or
+    hashed here.  The first edge out of order switches duplicate
+    detection to a set of the edges so far.
     """
     n = m = s = -1
     header_line = 0
+    lines = text.splitlines()
+    to_id = _VertexIds().__getitem__
     edges: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    prev: tuple[int, ...] = ()
+    seen: set[tuple[int, ...]] | None = None  # built at the first edge out of order
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        tag = fields[0]
+        if tag == "e":
+            if not header_line:
+                raise HgParseError(line_no, "edge line before problem line")
+            try:
+                edge = tuple(map(to_id, fields[1:]))
+            except ValueError:
+                raise HgParseError(
+                    line_no, f"non-integer vertex id in edge line {raw.strip()!r}"
+                ) from None
+            if len(edge) != s:
+                raise HgParseError(line_no, f"edge has {len(edge)} vertices, expected {s}")
+            if not (edge[0] >= 0 and edge[-1] < n and all(map(lt, edge, edge[1:]))):
+                for v in edge:
+                    if not 0 <= v < n:
+                        raise HgParseError(line_no, f"vertex id {v + 1} out of range [1, {n}]")
+                edge = tuple(sorted(edge))
+                for a, b in zip(edge, edge[1:]):
+                    if a == b:
+                        raise HgParseError(line_no, f"duplicate vertex {a + 1} within edge")
+            if seen is None and edge > prev:
+                prev = edge
+            else:
+                if seen is None:
+                    seen = set(edges)
+                if edge in seen:
+                    # every line so far parsed, so the edge lines are those tagged "e"
+                    edge_lines = [no for no, other in enumerate(lines, 1) if other.split()[:1] == ["e"]]
+                    first = edge_lines[edges.index(edge)]
+                    raise HgParseError(line_no, f"duplicate edge (first at line {first})")
+                seen.add(edge)
+            edges.append(edge)
+        elif tag == "p":
+            line = raw.strip()
             if header_line:
                 raise HgParseError(line_no, f"second problem line (first at line {header_line})")
             if len(fields) != 5 or fields[1] != "hyp":
@@ -56,35 +111,12 @@ def parse_hg(text: str) -> Hypergraph:
             if n < 1 or m < 0 or s < 2:
                 raise HgParseError(line_no, f"problem line values out of range: n={n} m={m} s={s}")
             header_line = line_no
-        elif fields[0] == "e":
-            if not header_line:
-                raise HgParseError(line_no, "edge line before problem line")
-            try:
-                ids = [int(f) for f in fields[1:]]
-            except ValueError:
-                raise HgParseError(line_no, f"non-integer vertex id in edge line {line!r}") from None
-            if len(ids) != s:
-                raise HgParseError(line_no, f"edge has {len(ids)} vertices, expected {s}")
-            for v in ids:
-                if not 1 <= v <= n:
-                    raise HgParseError(line_no, f"vertex id {v} out of range [1, {n}]")
-            edge = tuple(sorted(v - 1 for v in ids))
-            for a, b in zip(edge, edge[1:]):
-                if a == b:
-                    raise HgParseError(line_no, f"duplicate vertex {a + 1} within edge")
-            if edge in seen:
-                raise HgParseError(line_no, f"duplicate edge (first at line {seen[edge]})")
-            seen[edge] = line_no
-            edges.append(edge)
-        else:
-            raise HgParseError(line_no, f"unrecognized line type {fields[0]!r}")
+        elif not tag.startswith("c"):
+            raise HgParseError(line_no, f"unrecognized line type {tag!r}")
     if not header_line:
-        raise HgParseError(max(1, text.count("\n") + 1), "missing problem line")
+        raise HgParseError(max(1, len(lines)), "missing problem line")
     if len(edges) != m:
-        raise HgParseError(
-            max(1, text.count("\n") + 1),
-            f"problem line announced {m} edges, found {len(edges)}",
-        )
+        raise HgParseError(header_line, f"problem line announced {m} edges, found {len(edges)}")
     return Hypergraph(n, s, tuple(edges))
 
 

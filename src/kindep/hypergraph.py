@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import lt
 from typing import Iterable
 
 
@@ -37,6 +39,34 @@ def normalize_vertex_set(ids: Iterable[int], n: int) -> tuple[int, ...]:
         bad = out[0] if out[0] < 0 else out[-1]
         raise HypergraphError(f"vertex id {bad} out of range [0, {n})")
     return tuple(out)
+
+
+def _is_canonical(edges: object, n: int, s: int) -> bool:
+    """True when `edges` is already a canonical edge tuple for (n, s).
+
+    That is a tuple of int tuples, each of length s and strictly
+    increasing inside [0, n), the list itself strictly increasing.  The
+    checks run over whole columns at C speed, cheapest first, and stop
+    at the first failure, so a scrambled input costs little more than
+    the canonicalizing loop it falls back to.  A comparison that raises
+    TypeError also means "not canonical", and the loop then reports the
+    input's fault itself.
+    """
+    if type(edges) is not tuple:
+        return False
+    if not edges:
+        return True
+    try:
+        if not all(map(lt, edges, edges[1:])):
+            return False
+        cols = tuple(zip(*edges))
+        if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            return False
+        return (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {s}
+                and set(map(type, chain.from_iterable(cols))) == {int}
+                and edges[0][0] >= 0 and max(cols[-1]) < n)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -70,8 +100,11 @@ class Hypergraph:
 
     The constructor canonicalizes: vertices within an edge are sorted,
     the edge list is sorted lexicographically, and duplicate vertices
-    within an edge or duplicate edges raise HypergraphError.  Isolated
-    vertices are legal and count toward n.
+    within an edge or duplicate edges raise HypergraphError.  An edge
+    tuple that is already canonical (what the generators, `induced`,
+    `remove_vertex`, `replicate` and a canonical .hg file give) is
+    checked in one linear pass and kept as it is, not re-sorted.
+    Isolated vertices are legal and count toward n.
     """
 
     n: int
@@ -83,6 +116,8 @@ class Hypergraph:
             raise HypergraphError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.s, int) or self.s < 2:
             raise HypergraphError(f"uniformity must be an integer >= 2, got {self.s!r}")
+        if _is_canonical(self.edges, self.n, self.s):
+            return
         canon = []
         for raw in self.edges:
             edge = tuple(sorted(raw))

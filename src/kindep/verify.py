@@ -33,7 +33,7 @@ from kindep.bounds import (
 )
 from kindep.exact import alpha_k_bruteforce, alpha_k_exact, chi_k_exact
 from kindep.extract import band_peel, greedy_peel, k_partition, partition_extract
-from kindep.generators import WordStream, gen_random_uniform
+from kindep.generators import WordStream, gen_complete, gen_random_uniform
 from kindep.hgio import save_hg
 from kindep.hypergraph import Hypergraph
 
@@ -189,13 +189,7 @@ class CorpusInstance:
     origin: str
 
 
-def _all_subsets(n: int, s: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    return list(combinations(range(n), s))
-
-
-def _exhaustive_graph(cfg: VerifyConfig, slots: list[tuple[int, ...]],
+def _exhaustive_graph(cfg: VerifyConfig, slots: tuple[tuple[int, ...], ...],
                       index: int) -> Hypergraph:
     """The edges at the set bits of index over the subset list `slots`."""
     edges = tuple(slots[b] for b in range(len(slots)) if index >> b & 1)
@@ -209,7 +203,7 @@ def build_exhaustive_corpus(cfg: VerifyConfig) -> list[CorpusInstance]:
     """
     if not cfg.exhaustive_n:
         return []
-    slots = _all_subsets(cfg.exhaustive_n, cfg.exhaustive_s)
+    slots = gen_complete(cfg.exhaustive_n, cfg.exhaustive_s).edges
     out = []
     for index in range(1 << len(slots)):
         h = _exhaustive_graph(cfg, slots, index)
@@ -250,7 +244,7 @@ def corpus_instance(cfg: VerifyConfig, uid: str) -> CorpusInstance:
     if uid.startswith("x"):
         idx_part, _, k_part = uid[1:].partition("k")
         index, k = int(idx_part), int(k_part)
-        slots = _all_subsets(cfg.exhaustive_n, cfg.exhaustive_s)
+        slots = gen_complete(cfg.exhaustive_n, cfg.exhaustive_s).edges
         return CorpusInstance(uid, _exhaustive_graph(cfg, slots, index), k, "exhaustive")
     if uid.startswith("r"):
         return _draw_random_instance(cfg, int(uid[1:]))

@@ -63,6 +63,12 @@ def test_unranking_matches_lexicographic_enumeration(n, s):
     assert got == expected
 
 
+@pytest.mark.parametrize("n, s", [(2, 2), (5, 2), (6, 3), (7, 4), (8, 5)])
+def test_complete_edges_follow_the_unranking_order(n, s):
+    unranked = tuple(_unrank_subset(r, n, s) for r in range(comb(n, s)))
+    assert gen_complete(n, s).edges == unranked
+
+
 def test_random_uniform_frozen_instance():
     h = gen_random_uniform(8, 20, 3, 42)
     assert write_hg(h) == GOLDEN_SEED42

@@ -19,6 +19,14 @@ def test_canonical_edge_order():
     assert h.edges == ((0, 1, 2), (1, 2, 3))
 
 
+def test_canonical_edge_tuple_is_kept():
+    edges = ((0, 1, 2), (0, 1, 3), (1, 2, 3))
+    assert Hypergraph(4, 3, edges).edges is edges
+    # same edges in another container or order are rebuilt, not kept
+    assert Hypergraph(4, 3, list(edges)).edges == edges
+    assert Hypergraph(4, 3, edges[::-1]).edges == edges
+
+
 def test_rejects_bad_construction():
     with pytest.raises(HypergraphError):
         Hypergraph(0, 3)

@@ -72,6 +72,49 @@ def test_edge_count_mismatch():
         parse_hg("p hyp 3 2 2\ne 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("c nothing here\n", 1),
+        ("", 1),
+        ("c one\n\nc three\n", 3),
+        ("c one\nc two", 2),
+    ],
+)
+def test_missing_header_names_the_last_line(text, line_no):
+    with pytest.raises(HgParseError, match="missing problem line") as exc_info:
+        parse_hg(text)
+    assert exc_info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("p hyp 3 2 2\ne 1 2\n", 1),
+        ("c header below\np hyp 3 1 2\ne 1 2\ne 2 3\n\n", 2),
+        ("c made by hand\n\np hyp 3 1 2\n", 3),
+    ],
+)
+def test_edge_count_mismatch_names_the_problem_line(text, line_no):
+    with pytest.raises(HgParseError, match="problem line announced") as exc_info:
+        parse_hg(text)
+    assert exc_info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, line_no, first",
+    [
+        ("p hyp 4 3 2\ne 1 2\ne 1 3\ne 1 3\n", 4, 3),
+        ("p hyp 4 3 2\ne 1 2\nc gap\ne 1 3\ne 2 1\n", 5, 2),
+        ("p hyp 4 3 2\ne 2 3\ne 1 2\ne 3 2\n", 4, 2),
+    ],
+)
+def test_duplicate_edge_names_its_first_line(text, line_no, first):
+    with pytest.raises(HgParseError, match=f"duplicate edge \\(first at line {first}\\)") as exc_info:
+        parse_hg(text)
+    assert exc_info.value.line_no == line_no
+
+
 def test_file_round_trip(tmp_path):
     h = gen_complete(5, 3)
     path = tmp_path / "k5.hg"

@@ -15,19 +15,24 @@ import math
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kindep import (
     ExtractionDefect,
+    HgParseError,
     Hypergraph,
+    HypergraphError,
     alpha_k_exact,
     band_peel,
     best_extract,
     chi_k_exact,
     greedy_peel,
     k_partition,
+    parse_hg,
     partition_extract,
+    write_hg,
 )
 from kindep.exact import OracleResult
 from kindep.extract import _augment, _PeelState
@@ -444,3 +449,252 @@ def test_chi_matches_recursive_reference(h, k):
 def test_chi_budget_trips_at_reference_node(h, k, budget):
     got = chi_k_exact(h, k, node_budget=budget).to_json_dict()
     assert got == ref_chi(h, k, node_budget=budget).to_json_dict()
+
+
+# -- reference .hg parser and constructor: sort and check every edge ---------
+
+def ref_canonical_edges(n, s, edges):
+    """The constructor's canonicalizing loop: sort and check each edge,
+    sort the edge list, reject equal neighbours."""
+    canon = []
+    for raw in edges:
+        edge = tuple(sorted(raw))
+        if len(edge) != s:
+            raise HypergraphError(f"edge {tuple(raw)!r} has {len(edge)} vertices, expected {s}")
+        for a, b in zip(edge, edge[1:]):
+            if a == b:
+                raise HypergraphError(f"duplicate vertex {a} within edge {tuple(raw)!r}")
+        if edge[0] < 0 or edge[-1] >= n:
+            bad = edge[0] if edge[0] < 0 else edge[-1]
+            raise HypergraphError(f"vertex id {bad} of edge {tuple(raw)!r} out of range [0, {n})")
+        canon.append(edge)
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise HypergraphError(f"duplicate edge {a!r}")
+    return tuple(canon)
+
+
+def ref_parse_hg(text):
+    """A parser that sorts every edge line and keeps a dict of all edges
+    seen; returns (n, s, canonical edges)."""
+    n = m = s = -1
+    header_line = 0
+    edges = []
+    seen = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header_line:
+                raise HgParseError(line_no, f"second problem line (first at line {header_line})")
+            if len(fields) != 5 or fields[1] != "hyp":
+                raise HgParseError(line_no, f"malformed problem line {line!r}, expected 'p hyp <n> <m> <s>'")
+            try:
+                n, m, s = (int(f) for f in fields[2:])
+            except ValueError:
+                raise HgParseError(line_no, f"non-integer field in problem line {line!r}") from None
+            if n < 1 or m < 0 or s < 2:
+                raise HgParseError(line_no, f"problem line values out of range: n={n} m={m} s={s}")
+            header_line = line_no
+        elif fields[0] == "e":
+            if not header_line:
+                raise HgParseError(line_no, "edge line before problem line")
+            try:
+                ids = [int(f) for f in fields[1:]]
+            except ValueError:
+                raise HgParseError(line_no, f"non-integer vertex id in edge line {line!r}") from None
+            if len(ids) != s:
+                raise HgParseError(line_no, f"edge has {len(ids)} vertices, expected {s}")
+            for v in ids:
+                if not 1 <= v <= n:
+                    raise HgParseError(line_no, f"vertex id {v} out of range [1, {n}]")
+            edge = tuple(sorted(v - 1 for v in ids))
+            for a, b in zip(edge, edge[1:]):
+                if a == b:
+                    raise HgParseError(line_no, f"duplicate vertex {a + 1} within edge")
+            if edge in seen:
+                raise HgParseError(line_no, f"duplicate edge (first at line {seen[edge]})")
+            seen[edge] = line_no
+            edges.append(edge)
+        else:
+            raise HgParseError(line_no, f"unrecognized line type {fields[0]!r}")
+    if not header_line:
+        raise HgParseError(0, "missing problem line")
+    if len(edges) != m:
+        raise HgParseError(0, f"problem line announced {m} edges, found {len(edges)}")
+    return n, s, ref_canonical_edges(n, s, edges)
+
+
+def parse_outcome(parse, text):
+    """(n, s, edges) of a parse, or its error's class, line and message."""
+    try:
+        result = parse(text)
+    except HgParseError as exc:
+        return type(exc), exc.line_no, str(exc).partition(": ")[2]
+    if isinstance(result, Hypergraph):
+        return result.n, result.s, result.edges
+    return result
+
+
+def assert_parses_like_reference(text):
+    got, ref = parse_outcome(parse_hg, text), parse_outcome(ref_parse_hg, text)
+    if ref[0] is HgParseError and ref[1] == 0:
+        # the two end-of-file errors: the reference numbers no line; the
+        # parser names the problem line, or the last line of a headerless text
+        lines = text.splitlines()
+        header = [i for i, line in enumerate(lines, 1) if line.split()[:1] == ["p"]]
+        ref = (ref[0], header[0] if header else max(1, len(lines)), ref[2])
+    assert got == ref
+
+
+def hg_records(h, rnd, scramble):
+    """The header and edge lines of h as token lists; with scramble the
+    edge lines are shuffled and so are the ids inside each."""
+    edges = []
+    for edge in h.edges:
+        ids = [str(v + 1) for v in edge]
+        if scramble:
+            rnd.shuffle(ids)
+        edges.append(["e"] + ids)
+    if scramble:
+        rnd.shuffle(edges)
+    return [["p", "hyp", str(h.n), str(h.e), str(h.s)]] + edges
+
+
+def render(records, rnd):
+    """Join token lists into .hg text with comment, blank and
+    whitespace-padded lines mixed in."""
+    lines = []
+    for tokens in records:
+        while rnd.random() > 0.8:
+            lines.append(rnd.choice(["", "  ", "\t", "c", "c a comment", " c 1 2", "cx 3"]))
+        pad = lambda: rnd.choice(["", "", " ", "\t", "  "])  # noqa: E731
+        gaps = [rnd.choice([" ", " ", "  ", "\t"]) for _ in tokens]
+        lines.append(pad() + "".join(g + t for g, t in zip(gaps, tokens))[len(gaps[0]):] + pad())
+    end = rnd.choice(["\n", "\n", "\r\n"])
+    return end.join(lines) + rnd.choice([end, ""])
+
+
+CORRUPTIONS = ("range", "dup_id", "arity", "non_int", "dup_edge", "header", "count", "tag",
+               "early_edge", "no_header")
+
+
+def corrupt(records, kind, rnd, h):
+    """Apply one corruption of the given kind to h's token lists in place."""
+    edge_rows = [i for i, tokens in enumerate(records) if tokens[0] == "e" and len(tokens) > 1]
+    if not edge_rows:
+        records.append(["e"] + [str(v) for v in range(1, h.s + 1)])
+        edge_rows = [len(records) - 1]
+    row = rnd.choice(edge_rows)
+    tokens = records[row]
+    j = rnd.randrange(1, len(tokens))
+    if kind == "range":
+        tokens[j] = rnd.choice(["0", "-1", str(h.n + 1), str(h.n + 7)])
+    elif kind == "dup_id":
+        i = rnd.randrange(1, len(tokens))
+        tokens[j] = tokens[i] if i != j else tokens[j % (len(tokens) - 1) + 1]
+    elif kind == "arity":
+        if rnd.random() < 0.5:
+            del tokens[j]
+        else:
+            tokens.insert(j, str(rnd.randint(1, h.n)))
+    elif kind == "non_int":
+        tokens[j] = rnd.choice(["x", "1.5", "2a", "0x1"])
+    elif kind == "dup_edge":
+        copy = ["e"] + rnd.sample(tokens[1:], len(tokens) - 1)
+        records.insert(rnd.randint(row + 1, len(records)), copy)
+    elif kind == "header":
+        records.insert(rnd.randint(0, len(records)), ["p", "hyp", str(h.n), str(h.e), str(h.s)])
+    elif kind == "count":
+        del records[row]
+    elif kind == "early_edge":
+        records.insert(0, list(tokens))
+    elif kind == "no_header":
+        records[:] = [tokens for tokens in records if tokens[0] != "p"]
+    else:
+        records.insert(rnd.randint(0, len(records)), [rnd.choice(["x", "q", "E", "P"]), "1"])
+
+
+@SETTINGS
+@given(hypergraphs(), st.lists(st.text(alphabet="abc 12", max_size=8), max_size=3))
+def test_parse_inverts_write(h, comments):
+    assert parse_hg(write_hg(h, tuple(comments))) == h
+
+
+@SETTINGS
+@given(hypergraphs(n_max=12), st.randoms(use_true_random=False), st.booleans())
+def test_parse_scrambled_text_matches_reference(h, rnd, scramble):
+    text = render(hg_records(h, rnd, scramble), rnd)
+    assert parse_hg(text) == h
+    assert_parses_like_reference(text)
+
+
+@SETTINGS
+@given(hypergraphs(n_max=12), st.randoms(use_true_random=False), st.booleans(),
+       st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3))
+def test_parse_corrupted_text_matches_reference(h, rnd, scramble, kinds):
+    records = hg_records(h, rnd, scramble)
+    for kind in kinds:
+        corrupt(records, kind, rnd, h)
+    assert_parses_like_reference(render(records, rnd))
+
+
+@SETTINGS
+@given(hypergraphs(n_max=12), st.randoms(use_true_random=False), st.booleans(),
+       st.integers(1, 2))
+def test_parse_duplicate_edge_matches_reference(h, rnd, scramble, copies):
+    # in a sorted file the copy is the first edge out of order; in a
+    # shuffled one the parser is already past its first unordered edge
+    records = hg_records(h, rnd, scramble)
+    for _ in range(copies):
+        corrupt(records, "dup_edge", rnd, h)
+    assert_parses_like_reference(render(records, rnd))
+
+
+@st.composite
+def edge_collections(draw):
+    """(n, s, edges) for the constructor: tuples or lists, sorted or not,
+    with duplicates, out-of-range ids, wrong lengths or bools mixed in."""
+    n = draw(st.integers(1, 10))
+    s = draw(st.integers(2, 4))
+    lo, hi = draw(st.sampled_from([(0, n - 1), (-2, n + 1)]))
+    size = draw(st.sampled_from([(s, s), (s - 1, s + 1)]))
+    edges = draw(st.lists(
+        st.lists(st.integers(lo, hi), min_size=size[0], max_size=size[1],
+                 unique=hi - lo >= size[1] and draw(st.booleans())),
+        max_size=12,
+    ))
+    if draw(st.booleans()):
+        edges = [sorted(edge) for edge in edges]
+    if draw(st.booleans()):
+        edges.sort()
+    if draw(st.booleans()):
+        edges = [list(edge) for edge in dict.fromkeys(map(tuple, edges))]
+    if edges and edges[0] and edges[0][0] in (0, 1) and draw(st.booleans()):
+        edges[0][0] = bool(edges[0][0])
+    edge_type = draw(st.sampled_from([tuple, list]))
+    container = draw(st.sampled_from([tuple, list]))
+    return n, s, container(edge_type(edge) for edge in edges)
+
+
+@SETTINGS
+@given(edge_collections())
+def test_constructor_matches_canonicalizing_reference(case):
+    n, s, edges = case
+    try:
+        ref = ref_canonical_edges(n, s, edges)
+    except HypergraphError as exc:
+        with pytest.raises(HypergraphError) as exc_info:
+            Hypergraph(n, s, edges)
+        assert str(exc_info.value) == str(exc)
+        return
+    got = Hypergraph(n, s, edges).edges
+    assert repr(got) == repr(ref)
+    # an input already in canonical form is checked and kept, not rebuilt
+    canonical = (type(edges) is tuple and edges == ref
+                 and all(type(edge) is tuple for edge in edges)
+                 and all(type(v) is int for edge in edges for v in edge))
+    assert (got is edges) == canonical
