@@ -46,11 +46,11 @@ def _is_canonical(edges: object, n: int, s: int) -> bool:
 
     That is a tuple of int tuples, each of length s and strictly
     increasing inside [0, n), the list itself strictly increasing.  The
-    checks run over whole columns at C speed, cheapest first, and stop
-    at the first failure, so a scrambled input costs little more than
-    the canonicalizing loop it falls back to.  A comparison that raises
-    TypeError also means "not canonical", and the loop then reports the
-    input's fault itself.
+    checks run over whole columns at C speed and the order checks come
+    first, stopping at the first pair out of order, so a scrambled input
+    costs little more than the canonicalizing loop it falls back to.  A
+    comparison that raises TypeError also means "not canonical", and the
+    loop then reports the input's fault itself.
     """
     if type(edges) is not tuple:
         return False
