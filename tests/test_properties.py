@@ -5,10 +5,12 @@ The references are the straightforward versions: a peel that finds each
 victim by an O(n) scan, a band recursion over induced copies, a
 partition search that recounts every class degree per move, an
 augmentation that re-checks the whole set with `is_k_independent`, an
-unranker that walks the first element up one id at a time, and exact
+unranker that walks the first element up one id at a time, exact
 oracles that recount every induced degree at every search node and
-recurse once per assigned vertex.  Hypothesis runs derandomized, so
-every run draws the same cases.
+recurse once per assigned vertex, a .hg parser that sorts every edge
+line and keeps a dict of every edge, and a constructor that sorts and
+checks every edge.  Hypothesis runs derandomized, so every run draws
+the same cases.
 """
 
 import math
