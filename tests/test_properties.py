@@ -566,16 +566,20 @@ def hg_records(h, rnd, scramble):
     return [["p", "hyp", str(h.n), str(h.e), str(h.s)]] + edges
 
 
+FILLERS = ("", "  ", "\t", "c", "c a comment", " c 1 2", "cx 3")
+PADS = ("", "", " ", "\t", "  ")
+GAPS = (" ", " ", "  ", "\t")
+
+
 def render(records, rnd):
     """Join token lists into .hg text with comment, blank and
     whitespace-padded lines mixed in."""
     lines = []
     for tokens in records:
         while rnd.random() > 0.8:
-            lines.append(rnd.choice(["", "  ", "\t", "c", "c a comment", " c 1 2", "cx 3"]))
-        pad = lambda: rnd.choice(["", "", " ", "\t", "  "])  # noqa: E731
-        gaps = [rnd.choice([" ", " ", "  ", "\t"]) for _ in tokens]
-        lines.append(pad() + "".join(g + t for g, t in zip(gaps, tokens))[len(gaps[0]):] + pad())
+            lines.append(rnd.choice(FILLERS))
+        body = tokens[0] + "".join(rnd.choice(GAPS) + t for t in tokens[1:])
+        lines.append(rnd.choice(PADS) + body + rnd.choice(PADS))
     end = rnd.choice(["\n", "\n", "\r\n"])
     return end.join(lines) + rnd.choice([end, ""])
 
@@ -596,8 +600,7 @@ def corrupt(records, kind, rnd, h):
     if kind == "range":
         tokens[j] = rnd.choice(["0", "-1", str(h.n + 1), str(h.n + 7)])
     elif kind == "dup_id":
-        i = rnd.randrange(1, len(tokens))
-        tokens[j] = tokens[i] if i != j else tokens[j % (len(tokens) - 1) + 1]
+        tokens[j] = tokens[rnd.randrange(1, len(tokens))]
     elif kind == "arity":
         if rnd.random() < 0.5:
             del tokens[j]
@@ -615,7 +618,8 @@ def corrupt(records, kind, rnd, h):
     elif kind == "early_edge":
         records.insert(0, list(tokens))
     elif kind == "no_header":
-        records[:] = [tokens for tokens in records if tokens[0] != "p"]
+        gone = ("p", "e") if rnd.random() < 0.5 else ("p",)
+        records[:] = [tokens for tokens in records if tokens[0] not in gone]
     else:
         records.insert(rnd.randint(0, len(records)), [rnd.choice(["x", "q", "E", "P"]), "1"])
 
@@ -648,8 +652,8 @@ def test_parse_corrupted_text_matches_reference(h, rnd, scramble, kinds):
 @given(hypergraphs(n_max=12), st.randoms(use_true_random=False), st.booleans(),
        st.integers(1, 2))
 def test_parse_duplicate_edge_matches_reference(h, rnd, scramble, copies):
-    # in a sorted file the copy is the first edge out of order; in a
-    # shuffled one the parser is already past its first unordered edge
+    # each copy, its ids permuted, lands after its original in a sorted
+    # or a shuffled file
     records = hg_records(h, rnd, scramble)
     for _ in range(copies):
         corrupt(records, "dup_edge", rnd, h)
