@@ -17,6 +17,9 @@ Bound identifiers used throughout reports, CSV columns, and the verifier:
     caro_tuza_k        degree-wise piecewise product at index k+1
     caro_tuza_k_diag   same formula at index k (diagnostic only)
 
+The last four are sums over the degree histogram, count(d) * weight(d)
+per distinct degree d, with the product weights read from one table.
+
 `caro_tuza_k_diag` probes an index-convention question and never
 participates in `best_lower_bound` or soundness checking.
 """
@@ -24,6 +27,7 @@ participates in `best_lower_bound` or soundness checking.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,13 +127,10 @@ class BoundReport:
 
 
 def bound_max_degree(h: Hypergraph, k: int) -> BoundValue:
-    """n / ceil(Delta/k) via the partition route; needs k >= 1."""
+    """n / max(1, ceil(Delta/k)) via the partition route; needs k >= 1."""
     if k == 0:
         return BoundValue("max_degree", None, False, "k = 0 (bound divides by k)")
-    delta = h.max_degree
-    if delta == 0:
-        return BoundValue("max_degree", Fraction(h.n), True)
-    classes = -(-delta // k)
+    classes = max(1, -(-h.max_degree // k))
     return BoundValue("max_degree", Fraction(h.n, classes), True)
 
 
@@ -161,33 +162,30 @@ def _ordinary_products(s: int, top: int) -> list[Fraction]:
 
 def bound_caro_tuza_alpha(h: Hypergraph) -> BoundValue:
     """Degree-sequence product bound for plain independence (k = 0)."""
-    prods = _ordinary_products(h.s, h.max_degree)
-    total = sum((prods[d] for d in h.degrees), Fraction(0))
+    hist = Counter(h.degrees)
+    prods = _ordinary_products(h.s, max(hist))
+    total = sum(count * prods[d] for d, count in hist.items())
     return BoundValue("caro_tuza_alpha", total, True)
-
-
-def _caro_tuza_weight(i: int, kc: int, s: int) -> Fraction:
-    """Piecewise per-vertex weight: linear up to kc, product beyond.
-
-    Both branches give 1 - 1/s at i = kc; we evaluate the crossover on
-    both sides and assert the agreement rather than trusting it.
-    """
-    if i <= kc:
-        linear = 1 - Fraction(i, kc * s)
-        if i == kc:
-            product = _ordinary_products(s, 1)[1]
-            assert linear == product == 1 - Fraction(1, s)
-        return linear
-    return _ordinary_products(s, i - kc + 1)[i - kc + 1]
 
 
 def bound_caro_tuza_k(h: Hypergraph, kc: int, name: str = "caro_tuza_k") -> BoundValue:
     """Sum of the piecewise weights over the degree sequence; kc >= 1
-    is the bound's own index (one more than this package's k)."""
+    is the bound's own index (one more than this package's k).
+
+    A vertex of degree d weighs 1 - d/(kc s) up to d = kc and P[d-kc+1]
+    beyond.  Both branches give 1 - 1/s at d = kc; the crossover is
+    evaluated on both sides and asserted rather than trusted.
+    """
     if kc < 1:
         raise ValueError(f"index must be >= 1, got {kc}")
-    weights = {d: _caro_tuza_weight(d, kc, h.s) for d in set(h.degrees)}
-    total = sum((weights[d] for d in h.degrees), Fraction(0))
+    s = h.s
+    hist = Counter(h.degrees)
+    prods = _ordinary_products(s, max(1, max(hist) - kc + 1))
+    assert 1 - Fraction(kc, kc * s) == prods[1] == 1 - Fraction(1, s)
+    total = sum(
+        count * (1 - Fraction(d, kc * s) if d <= kc else prods[d - kc + 1])
+        for d, count in hist.items()
+    )
     return BoundValue(name, total, True)
 
 
@@ -202,12 +200,10 @@ def cps_per_vertex(h: Hypergraph) -> float:
     if h.s < 3:
         raise ValueError("bound requires s >= 3")
     factor = math.exp(-GAMMA / (h.s - 1))
-    counts: dict[int, int] = {}
-    for d in h.degrees:
-        counts[d] = counts.get(d, 0) + 1
+    hist = Counter(h.degrees)
     terms = [
-        float(Fraction(counts[d], h.n)) * (d + 1) ** (-1.0 / (h.s - 1))
-        for d in sorted(counts)
+        float(Fraction(count, h.n)) * (d + 1) ** (-1.0 / (h.s - 1))
+        for d, count in sorted(hist.items())
     ]
     return factor * math.fsum(terms)
 

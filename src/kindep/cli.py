@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -160,12 +161,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.budget:
-        overrides["alpha_budget"] = args.budget
-        overrides["chi_budget"] = args.budget
+    if args.budget is not None:
+        overrides["alpha_budget"] = overrides["chi_budget"] = args.budget or None
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     outcome = run_verify(cfg, out_dir=args.output)
     sys.stdout.write(outcome.report_text)
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, budget: bool = False) -> None:
         p.add_argument("--output", help="write output to this path")
         if budget:
-            p.add_argument("--budget", type=_nonneg, default=0,
+            p.add_argument("--budget", type=_nonneg,
                            help="search node budget, 0 = unlimited")
 
     p_gen = sub.add_parser("gen", help="generate an instance file")

@@ -243,6 +243,22 @@ def test_verify_fault_injection_exits_1(tmp_path, capsys):
     assert (tmp_path / "out").is_dir()
 
 
+def test_verify_budget_zero_lifts_config_budgets(tmp_path, capsys):
+    cfg_path = tmp_path / "starved.cfg"
+    cfg_path.write_text(
+        "exhaustive_n = 0\nrandom_count = 10\nrandom_n_max = 9\n"
+        "replication_count = 0\nalpha_budget = 1\nchi_budget = 1\n"
+        "checks = bound-soundness,partition\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert code == 0
+    assert out.count("skipped=") == 2
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path), "--budget", "0")
+    assert code == 0
+    assert "skipped=" not in out
+    assert out.endswith("result: PASS\n")
+
+
 def test_verify_bad_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("no_such_key = 3\n")

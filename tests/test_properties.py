@@ -1,5 +1,5 @@
-"""Property tests: the fast extraction, generation and oracle paths against
-plain reference implementations kept here.
+"""Property tests: the fast extraction, generation, oracle and bound paths
+against plain reference implementations kept here.
 
 The references are the straightforward versions: a peel that finds each
 victim by an O(n) scan, a band recursion over induced copies, a
@@ -8,9 +8,10 @@ augmentation that re-checks the whole set with `is_k_independent`, an
 unranker that walks the first element up one id at a time, exact
 oracles that recount every induced degree at every search node and
 recurse once per assigned vertex, a .hg parser that sorts every edge
-line and keeps a dict of every edge, and a constructor that sorts and
-checks every edge.  Hypothesis runs derandomized, so every run draws
-the same cases.
+line and keeps a dict of every edge, a constructor that sorts and
+checks every edge, and degree-sequence bounds that add one weight per
+vertex, rebuilding the product for each.  Hypothesis runs
+derandomized, so every run draws the same cases.
 """
 
 import math
@@ -29,7 +30,11 @@ from kindep import (
     alpha_k_exact,
     band_peel,
     best_extract,
+    bound_caro_tuza_alpha,
+    bound_caro_tuza_k,
+    bound_report,
     chi_k_exact,
+    cps_per_vertex,
     greedy_peel,
     k_partition,
     parse_hg,
@@ -262,6 +267,57 @@ def test_best_extract_matches_recheck_reference(h, k):
     best = best_extract(h, k)
     assert best.vertices == recheck_augment(h, k, winner.vertices)
     assert best.trace == winner.trace
+
+
+@SETTINGS
+@given(hypergraphs(n_max=14), st.integers(0, 3))
+def test_best_extract_size_between_every_extractor_and_alpha(h, k):
+    sizes = [greedy_peel(h, k).size, band_peel(h, k).size]
+    if k >= 1:
+        sizes.append(partition_extract(h, k).size)
+    best = best_extract(h, k).size
+    assert best >= max(sizes)
+    assert best <= alpha_k_exact(h, k).value
+
+
+# -- reference degree-sequence bounds: one weight per vertex -----------------
+
+def ref_product(i, s):
+    out = Fraction(1)
+    for j in range(1, i + 1):
+        out *= 1 - Fraction(1, j * (s - 1) + 1)
+    return out
+
+
+def ref_caro_tuza_weight(i, kc, s):
+    if i <= kc:
+        return 1 - Fraction(i, kc * s)
+    return ref_product(i - kc + 1, s)
+
+
+@SETTINGS
+@given(hypergraphs())
+def test_caro_tuza_bounds_match_per_vertex_reference(h):
+    alpha = sum((ref_product(d, h.s) for d in h.degrees), Fraction(0))
+    assert bound_caro_tuza_alpha(h).value == alpha
+    for kc in range(1, h.max_degree + 3):
+        ref = sum((ref_caro_tuza_weight(d, kc, h.s) for d in h.degrees), Fraction(0))
+        assert bound_caro_tuza_k(h, kc).value == ref
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3), st.integers(2, 3))
+def test_bounds_scale_with_replication(h, k, copies):
+    base = bound_report(h, k)
+    rep = bound_report(h.replicate(copies), k)
+    assert [b.name for b in rep.bounds] == [b.name for b in base.bounds]
+    for b, r in zip(base.bounds, rep.bounds):
+        if isinstance(b.value, Fraction):
+            assert r.value == copies * b.value
+        else:
+            assert r.applicable == b.applicable
+    if h.s >= 3:
+        assert cps_per_vertex(h.replicate(copies)) == cps_per_vertex(h)
 
 
 # -- reference unranking: linear walk over the first element -----------------
