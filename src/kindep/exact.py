@@ -4,10 +4,13 @@ Small-instance ground truth by exhaustive search.  Vertex sets are
 machine-word bitmasks (n <= 64 for alpha) and edge containment is a
 mask-subset test, so the searches stay cheap enough to run over whole
 corpora.  Both searches update degrees incrementally from vertex
-incidence lists: a node costs O(s * deg u) per branch plus an O(n)
-`max` for the alpha violator, instead of an O(e + n) recount.  The
-node count is part of every result, so the search tree itself is
-fixed output: a pruning rule that cuts it changes the printed bytes.
+incidence lists instead of recounting O(e + n) per node.  An alpha
+node costs O(s * deg u) to drop its vertex, an O(n) `max` for its
+violator and an O(n) degree restore for each later sibling; children
+cut on entry still count in `nodes` but cost O(1) as a group.  A chi
+node costs O(s * deg v) per class tried.  The node count is part of
+every result, so the search tree itself is fixed output: a pruning
+rule that cuts it changes the printed bytes.
 
 A node budget turns an over-large call into an explicit
 "budget_exceeded" result; the oracle never returns an approximation.
@@ -71,6 +74,14 @@ class _NodeMeter:
         if self.limit is not None and self.spent > self.limit:
             raise _BudgetExceeded
 
+    def charge(self, count: int) -> None:
+        """Count `count` nodes at once; an overrun leaves `spent` at
+        limit + 1, where ticking them one by one would have raised."""
+        self.spent += count
+        if self.limit is not None and self.spent > self.limit:
+            self.spent = self.limit + 1
+            raise _BudgetExceeded
+
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     out = []
@@ -94,24 +105,20 @@ def _incident_edges(h: Hypergraph) -> list[list[tuple[int, tuple[int, ...]]]]:
     return inc
 
 
-def _drop(deg: list[int], inc: list, smask: int) -> list[tuple[int, ...]]:
+def _drop(deg: list[int], inc: list, smask: int) -> None:
     """Decrement the endpoints of every edge of `inc` that lies inside
-    smask; returns those edges so the caller can restore `deg`.  Taking
-    the edges through u this way drops deg[u] itself to 0."""
-    closed = []
+    smask.  Taking the edges through u this way drops deg[u] itself to 0."""
     for emask, edge in inc:
         if emask & smask == emask:
-            closed.append(edge)
             for w in edge:
                 deg[w] -= 1
-    return closed
 
 
-def _shift(deg: list[int], edges: list[tuple[int, ...]], step: int) -> None:
-    """Add step to the degree of every endpoint of every edge."""
+def _undo(deg: list[int], edges: list[tuple[int, ...]]) -> None:
+    """Decrement the degree of every endpoint of every edge."""
     for edge in edges:
         for w in edge:
-            deg[w] += step
+            deg[w] -= 1
 
 
 def _greedy_seed(h: Hypergraph, k: int, inc: list) -> int:
@@ -138,10 +145,15 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     space.  Nodes with no more candidates than the incumbent are cut.
 
     `deg` holds the induced degrees of the current candidate mask
-    (0 outside it): each branch decrements the endpoints of the edges
-    it removes and restores them on return, so a node costs
-    O(s * deg u) per branch plus an O(n) `max` for the worst violator
-    (highest degree, lowest id), instead of an O(e + n) recount.
+    (0 outside it): a child decrements the endpoints of the edges it
+    removes, and each later sibling starts from its parent's snapshot
+    (`deg[:] = saved`, one copy per branching node).  So an entered
+    node costs O(s * deg u) plus an O(n) `max` for the worst violator
+    (highest degree, lowest id) and an O(n) restore, instead of an
+    O(e + n) recount.  A child is cut on entry when size - 1 <= best,
+    and since best only grows, all of a node's remaining children are
+    then cut: they are counted in `nodes` by one popcount, O(1) for the
+    group, without being entered.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -155,10 +167,9 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     deg = [len(edges) for edges in inc]
 
     def explore(smask: int, required: int, size: int) -> None:
+        # entered only when already counted and size > best; a node that
+        # returns leaves deg to its parent, which restores before a sibling
         nonlocal best, best_mask
-        meter.tick()
-        if size <= best:
-            return
         top = max(deg)
         if top <= k:
             best, best_mask = size, smask
@@ -173,18 +184,36 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
                 found += 1
                 if found > k:
                     break
+        # children not tried yet, in branch order: v, then ascending ids.
+        # A child is cut on entry when size - 1 <= best; best only grows,
+        # so once that holds every pending child is counted in one charge.
+        pending = union & ~required
+        if size - 1 <= best:
+            meter.charge(bin(pending).count("1"))
+            return
+        if not pending:
+            return
+        bit = pending & 1 << v or pending & -pending
         req = required
-        for u in (v,) + _mask_to_vertices(union & ~(1 << v)):
-            bit = 1 << u
-            if req & bit:
-                continue
-            closed = _drop(deg, inc[u], smask)
-            explore(smask & ~bit, req, size - 1)
-            _shift(deg, closed, 1)
+        saved = deg[:]
+        while True:
+            meter.tick()
+            _drop(deg, inc[bit.bit_length() - 1], smask)
+            explore(smask ^ bit, req, size - 1)
+            pending ^= bit
+            if not pending:
+                return
+            if size - 1 <= best:
+                meter.charge(bin(pending).count("1"))
+                return
+            deg[:] = saved
             req |= bit
+            bit = pending & -pending
 
     try:
-        explore((1 << h.n) - 1, 0, h.n)
+        meter.tick()
+        if h.n > best:
+            explore((1 << h.n) - 1, 0, h.n)
     except _BudgetExceeded:
         return OracleResult("alpha_k", k, None, "budget_exceeded", None, meter.spent,
                             time.perf_counter() - start)
@@ -260,7 +289,7 @@ def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) ->
                             over = True
             if not over:
                 break
-            _shift(deg, done, -1)
+            _undo(deg, done)
             t += 1
         if t < limit:
             stack.append((t, used, done))
@@ -276,7 +305,7 @@ def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) ->
             v -= 1
             t, used, done = stack.pop()
             members[t] &= ~(1 << v)
-            _shift(cls_deg[t], done, -1)
+            _undo(cls_deg[t], done)
             t += 1
         else:
             return None

@@ -54,9 +54,24 @@ def test_alpha_trivial_shapes():
     for k in range(3):
         res = alpha_k_exact(empty, k)
         assert res.value == 6
+        assert res.nodes == 1  # the greedy seed is optimal: only the root counts
     one_edge = Hypergraph(4, 4, ((0, 1, 2, 3),))
     assert alpha_k_exact(one_edge, 0).value == 3
     assert alpha_k_exact(one_edge, 1).value == 4
+
+
+def test_alpha_pinned_beyond_property_sizes():
+    # n = 26 is above the n <= 14 the reference comparisons draw; value,
+    # witness and node count are fixed output
+    res = alpha_k_exact(gen_random_uniform(26, 78, 3, 221), 2)
+    assert res.to_json_dict() == {
+        "quantity": "alpha_k",
+        "k": 2,
+        "value": 18,
+        "status": "exact",
+        "witness": [1, 3, 5, 6, 7, 9, 10, 13, 14, 15, 16, 17, 19, 20, 21, 22, 24, 25],
+        "nodes": 46485,
+    }
 
 
 def test_alpha_budget_exceeded():

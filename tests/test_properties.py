@@ -35,6 +35,8 @@ from kindep import (
     bound_report,
     chi_k_exact,
     cps_per_vertex,
+    gen_complete,
+    gen_random_uniform,
     greedy_peel,
     k_partition,
     parse_hg,
@@ -490,10 +492,24 @@ def test_alpha_matches_recount_reference(h, k):
 
 
 @SETTINGS
-@given(hypergraphs(n_max=14), st.integers(0, 2), st.integers(1, 40))
+@given(hypergraphs(n_max=14), st.integers(0, 2), st.integers(0, 40))
 def test_alpha_budget_trips_at_reference_node(h, k, budget):
     got = alpha_k_exact(h, k, node_budget=budget).to_json_dict()
     assert got == ref_alpha(h, k, node_budget=budget).to_json_dict()
+
+
+@pytest.mark.parametrize("h, k", [
+    (gen_complete(7, 3), 1),
+    (gen_random_uniform(14, 30, 3, 5), 0),
+    (gen_random_uniform(12, 40, 2, 9), 1),
+], ids=["K7-3-k1", "r14-30-s3-k0", "r12-40-s2-k1"])
+def test_alpha_every_budget_matches_reference(h, k):
+    # cut children are charged in bulk: every budget, including one that
+    # runs out inside such a group, must stop at the reference's node
+    nodes = ref_alpha(h, k).nodes
+    for budget in range(nodes + 2):
+        got = alpha_k_exact(h, k, node_budget=budget).to_json_dict()
+        assert got == ref_alpha(h, k, node_budget=budget).to_json_dict(), budget
 
 
 @SETTINGS
