@@ -18,7 +18,15 @@ Bound identifiers used throughout reports, CSV columns, and the verifier:
     caro_tuza_k_diag   same formula at index k (diagnostic only)
 
 The last four are sums over the degree histogram, count(d) * weight(d)
-per distinct degree d, with the product weights read from one table.
+per distinct degree d, with the product weights read from one table;
+a report builds one histogram and one table for all of them.
+
+The exact values are computed in integer arithmetic: each bound is one
+integer numerator over one integer denominator, and the only Fraction
+built is the returned value, which normalises to the same numerator
+and denominator as a step-by-step Fraction evaluation.  f(x) and g(x)
+work on x's numerator and denominator, and the product table holds
+integer numerators over one common denominator.
 
 `caro_tuza_k_diag` probes an index-convention question and never
 participates in `best_lower_bound` or soundness checking.
@@ -39,13 +47,17 @@ DIAGNOSTIC_BOUNDS = frozenset({"caro_tuza_k_diag"})
 
 
 def eval_f(x: Fraction | int) -> Fraction:
-    """f(x) = (1/(1+x)) * (1 + {x}(1-{x}) / ((floor(x)+1)(floor(x)+2)))."""
-    x = Fraction(x)
-    if x < 0:
+    """f(x) = (1/(1+x)) * (1 + {x}(1-{x}) / ((floor(x)+1)(floor(x)+2))).
+
+    With x = p/q and p = floor(x) q + r, this is
+    (q B + r(q-r)) / (B(q+p)) where B = q (floor(x)+1)(floor(x)+2).
+    """
+    p, q = x.numerator, x.denominator
+    if p < 0:
         raise ValueError(f"f is defined for x >= 0, got {x}")
-    fl = math.floor(x)
-    fpart = x - fl
-    return (1 + Fraction(fpart * (1 - fpart), (fl + 1) * (fl + 2))) / (1 + x)
+    fl, r = divmod(p, q)
+    b = q * (fl + 1) * (fl + 2)
+    return Fraction(q * b + r * (q - r), b * (q + p))
 
 
 def eval_g(x: Fraction | int) -> Fraction:
@@ -53,14 +65,15 @@ def eval_g(x: Fraction | int) -> Fraction:
 
     Coincides with eval_f on all of x > 0; the closed form makes the
     per-band behavior of the peeling recursion easier to reason about.
+    With x = p/q this is (2 ceil(x) q - p) / (q ceil(x)(ceil(x)+1)).
     """
-    x = Fraction(x)
-    if x < 0:
+    p, q = x.numerator, x.denominator
+    if p < 0:
         raise ValueError(f"g is defined for x >= 0, got {x}")
-    if x == 0:
+    if p == 0:
         return Fraction(1)
-    cl = math.ceil(x)
-    return (2 * cl - x) / Fraction(cl * (cl + 1))
+    cl = -(-p // q)
+    return Fraction(2 * cl * q - p, q * cl * (cl + 1))
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,7 @@ def bound_max_degree(h: Hypergraph, k: int) -> BoundValue:
 
 def bound_edge_count(h: Hypergraph, k: int) -> BoundValue:
     """n - e/(k+1); may be nonpositive on dense instances, never clamped."""
-    return BoundValue("edge_count", h.n - Fraction(h.e, k + 1), True)
+    return BoundValue("edge_count", Fraction(h.n * (k + 1) - h.e, k + 1), True)
 
 
 def bound_avg_degree(h: Hypergraph, k: int) -> BoundValue:
@@ -151,21 +164,78 @@ def bound_avg_degree_simple(h: Hypergraph, k: int) -> BoundValue:
     return BoundValue("avg_degree_simple", value, True)
 
 
-def _ordinary_products(s: int, top: int) -> list[Fraction]:
-    """P[i] = prod_{j=1..i} (1 - 1/(j(s-1)+1)), with P[0] = 1."""
-    out = [Fraction(1)]
-    for j in range(1, top + 1):
-        q = j * (s - 1) + 1
-        out.append(out[-1] * Fraction(q - 1, q))
-    return out
+def _range_product(start: int, stop: int, step: int = 1) -> int:
+    """prod(range(start, stop, step)), multiplied as a balanced tree: a
+    running product over a long range costs time quadratic in its size."""
+    count = len(range(start, stop, step))
+    if count <= 32:
+        return math.prod(range(start, stop, step))
+    mid = start + count // 2 * step
+    return _range_product(start, mid, step) * _range_product(mid, stop, step)
+
+
+def _ordinary_products(s: int, indexes: set[int]) -> tuple[dict[int, int], int]:
+    """P[i] = prod_{j=1..i} (1 - 1/(j(s-1)+1)) at each i in `indexes`, as
+    integer numerators over the common denominator D = prod_{j=1..top}
+    (j(s-1)+1), top = max(indexes).
+
+    The numerator of P[i] is the prefix product of j(s-1) over j <= i
+    times the suffix product of j(s-1)+1 over i < j <= top.  Only the
+    requested entries are kept: the full table would hold top+1
+    integers of O(top log top) bits each, quadratic in the maximum
+    degree.
+    """
+    m = s - 1
+    wanted = sorted(indexes)
+    nums: dict[int, int] = {}
+    prefix, last = 1, 0
+    for i in wanted:
+        prefix *= m ** (i - last) * _range_product(last + 1, i + 1)
+        nums[i], last = prefix, i
+    suffix = 1
+    for i in reversed(wanted):
+        suffix *= _range_product((i + 1) * m + 1, last * m + 2, m)
+        nums[i] *= suffix
+        last = i
+    return nums, suffix * _range_product(m + 1, last * m + 2, m)
+
+
+# (degree histogram, product numerators by index, their common denominator)
+_Table = tuple[Counter, dict[int, int], int]
+
+
+def _degree_table(h: Hypergraph, kcs: tuple[int, ...]) -> _Table:
+    """The degree histogram of h, with P[d - kc + 1] for every degree d
+    and index kc in `kcs` (and P[1]) over one common denominator.
+
+    `caro_tuza_k` at index kc reads these entries, and `caro_tuza_alpha`
+    reads the kc = 1 entries, P[d].
+    """
+    hist = Counter(h.degrees)
+    wanted = {1}
+    for kc in kcs:
+        wanted.update(d - kc + 1 for d in hist if d >= kc - 1)
+    return (hist, *_ordinary_products(h.s, wanted))
+
+
+def _caro_tuza_alpha(table: _Table) -> BoundValue:
+    hist, nums, den = table
+    total = sum(count * nums[d] for d, count in hist.items())
+    return BoundValue("caro_tuza_alpha", Fraction(total, den), True)
+
+
+def _caro_tuza_k(s: int, kc: int, table: _Table, name: str) -> BoundValue:
+    hist, nums, den = table
+    # both branches give 1 - 1/s at d = kc: (kc s - kc)/(kc s) = P[1] = (s-1)/s
+    assert (kc * s - kc) * den == kc * s * nums[1] == kc * (s - 1) * den
+    low = sum(count * (kc * s - d) for d, count in hist.items() if d <= kc)
+    high = sum(count * nums[d - kc + 1] for d, count in hist.items() if d > kc)
+    return BoundValue(name, Fraction(low * den + kc * s * high, kc * s * den), True)
 
 
 def bound_caro_tuza_alpha(h: Hypergraph) -> BoundValue:
     """Degree-sequence product bound for plain independence (k = 0)."""
-    hist = Counter(h.degrees)
-    prods = _ordinary_products(h.s, max(hist))
-    total = sum(count * prods[d] for d, count in hist.items())
-    return BoundValue("caro_tuza_alpha", total, True)
+    return _caro_tuza_alpha(_degree_table(h, (1,)))
 
 
 def bound_caro_tuza_k(h: Hypergraph, kc: int, name: str = "caro_tuza_k") -> BoundValue:
@@ -174,19 +244,12 @@ def bound_caro_tuza_k(h: Hypergraph, kc: int, name: str = "caro_tuza_k") -> Boun
 
     A vertex of degree d weighs 1 - d/(kc s) up to d = kc and P[d-kc+1]
     beyond.  Both branches give 1 - 1/s at d = kc; the crossover is
-    evaluated on both sides and asserted rather than trusted.
+    evaluated on both sides and asserted rather than trusted.  The sum
+    is one integer numerator over kc s D, D the products' denominator.
     """
     if kc < 1:
         raise ValueError(f"index must be >= 1, got {kc}")
-    s = h.s
-    hist = Counter(h.degrees)
-    prods = _ordinary_products(s, max(1, max(hist) - kc + 1))
-    assert 1 - Fraction(kc, kc * s) == prods[1] == 1 - Fraction(1, s)
-    total = sum(
-        count * (1 - Fraction(d, kc * s) if d <= kc else prods[d - kc + 1])
-        for d, count in hist.items()
-    )
-    return BoundValue(name, total, True)
+    return _caro_tuza_k(h.s, kc, _degree_table(h, (kc,)), name)
 
 
 def cps_per_vertex(h: Hypergraph) -> float:
@@ -199,8 +262,11 @@ def cps_per_vertex(h: Hypergraph) -> float:
     """
     if h.s < 3:
         raise ValueError("bound requires s >= 3")
+    return _cps_per_vertex(h, Counter(h.degrees))
+
+
+def _cps_per_vertex(h: Hypergraph, hist: Counter) -> float:
     factor = math.exp(-GAMMA / (h.s - 1))
-    hist = Counter(h.degrees)
     terms = [
         float(Fraction(count, h.n)) * (d + 1) ** (-1.0 / (h.s - 1))
         for d, count in sorted(hist.items())
@@ -210,16 +276,21 @@ def cps_per_vertex(h: Hypergraph) -> float:
 
 def bound_cps(h: Hypergraph) -> BoundValue:
     """e^(-gamma/(s-1)) * sum over v of (deg(v)+1)^(-1/(s-1)); s >= 3 only."""
+    return _bound_cps(h, Counter(h.degrees))
+
+
+def _bound_cps(h: Hypergraph, hist: Counter) -> BoundValue:
     if h.s < 3:
         return BoundValue("cps", None, False, "s = 2 (bound requires s >= 3)")
-    return BoundValue("cps", cps_per_vertex(h) * h.n, True)
+    return BoundValue("cps", _cps_per_vertex(h, hist) * h.n, True)
 
 
 def bound_report(h: Hypergraph, k: int) -> BoundReport:
     """Evaluate every bound for (h, k) and take the best integer floor.
 
     best_lower_bound is the max of ceil(value) over applicable bounds,
-    excluding the diagnostic index variant (see module docstring).
+    excluding the diagnostic index variant (see module docstring).  The
+    degree-sequence bounds share one histogram and one product table.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -229,12 +300,13 @@ def bound_report(h: Hypergraph, k: int) -> BoundReport:
         bound_avg_degree(h, k),
         bound_avg_degree_simple(h, k),
     ]
+    table = _degree_table(h, (k + 1, k) if k else (1,))
     if k == 0:
-        bounds.append(bound_caro_tuza_alpha(h))
-        bounds.append(bound_cps(h))
-    bounds.append(bound_caro_tuza_k(h, k + 1))
+        bounds.append(_caro_tuza_alpha(table))
+        bounds.append(_bound_cps(h, table[0]))
+    bounds.append(_caro_tuza_k(h.s, k + 1, table, "caro_tuza_k"))
     if k >= 1:
-        bounds.append(bound_caro_tuza_k(h, k, name="caro_tuza_k_diag"))
+        bounds.append(_caro_tuza_k(h.s, k, table, "caro_tuza_k_diag"))
     else:
         bounds.append(
             BoundValue("caro_tuza_k_diag", None, False, "index 0 is outside the bound")

@@ -224,7 +224,8 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
                 "t": Fraction(t_num, t_den), "cap": cap,
                 "removed": removed, "early_stop": removed < cap,
                 "remainder_n": rem_n, "remainder_e": rem_e,
-                "remainder_d_ok": Fraction(h.s * rem_e, rem_n) <= Fraction(h.s * r * (k + 1), 2)
+                # average degree s rem_e / rem_n <= s r (k+1) / 2
+                "remainder_d_ok": 2 * rem_e <= r * (k + 1) * rem_n
                 if removed == cap and rem_n else None,
             }
             if removed < cap and k >= 1:

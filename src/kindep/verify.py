@@ -18,13 +18,15 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, gcd
+from math import comb, gcd
 
 import numpy as np
 
 from kindep.bounds import (
     DIAGNOSTIC_BOUNDS,
+    bound_avg_degree,
     bound_avg_degree_simple,
+    bound_edge_count,
     bound_max_degree,
     bound_report,
     cps_per_vertex,
@@ -265,15 +267,20 @@ def _plain(obj: object) -> object:
 
 
 class DumpSink:
-    """Writes counterexample instances plus JSON diagnoses."""
+    """Writes counterexample instances plus JSON diagnoses, up to `limit`
+    of them; `dropped` counts the ones refused past that cap."""
 
     def __init__(self, out_dir: str | None, limit: int = 16) -> None:
         self.out_dir = out_dir
         self.limit = limit
         self.written: list[str] = []
+        self.dropped = 0
 
     def dump(self, check: str, inst: CorpusInstance, detail: dict) -> None:
-        if self.out_dir is None or len(self.written) >= self.limit:
+        if self.out_dir is None:
+            return
+        if len(self.written) >= self.limit:
+            self.dropped += 1
             return
         os.makedirs(self.out_dir, exist_ok=True)
         stem = f"{check}_{inst.uid}"
@@ -309,6 +316,14 @@ class CheckResult:
     violations: int
     skipped: int = 0
     notes: tuple[str, ...] = ()
+
+
+def _budget_note(skipped: int, total: int, oracle: str, budget: int | None) -> tuple[str, ...]:
+    """The coverage note of a check whose oracle ran out of node budget."""
+    if not skipped:
+        return ()
+    return (f"skipped {skipped}/{total} pairs: the {oracle} oracle exceeded "
+            f"its node budget of {budget}",)
 
 
 class _AlphaCache:
@@ -363,9 +378,10 @@ def check_bound_soundness(
                     "alpha": alpha,
                     "fault_injection": fault_injection or None,
                 })
-    notes = [f"diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows"]
+    notes = (f"diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows",
+             *_budget_note(skipped, len(pairs), "alpha", alphas.budget))
     return CheckResult("bound-soundness", violations == 0, comparisons,
-                       violations, skipped, tuple(notes))
+                       violations, skipped, notes)
 
 
 def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink) -> CheckResult:
@@ -376,16 +392,16 @@ def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink) ->
     for inst in pairs:
         h, k = inst.h, inst.k
         g = greedy_peel(h, k)
+        target = bound_edge_count(h, k).value
         comparisons += 1
-        if Fraction(g.size) < h.n - Fraction(h.e, k + 1):
+        if g.size < target:
             violations += 1
             sink.dump("extraction-achievement", inst, {
-                "algorithm": "greedy_peel", "size": g.size,
-                "target": h.n - Fraction(h.e, k + 1),
+                "algorithm": "greedy_peel", "size": g.size, "target": target,
             })
         probe: list[dict] = []
         b = band_peel(h, k, probe)
-        target = ceil(eval_f(Fraction(2 * h.e, h.n * (k + 1))) * h.n)
+        target = bound_avg_degree(h, k).ceiled()
         comparisons += 1
         if b.size < target:
             violations += 1
@@ -535,7 +551,9 @@ def check_partition(pairs: list[CorpusInstance], sink: DumpSink,
             sink.dump("partition", inst, {
                 "chi": oracle.value, "class_bound": expected,
             })
-    return CheckResult("partition", violations == 0, comparisons, violations, skipped)
+    tried = sum(1 for inst in pairs if inst.k >= 1)
+    return CheckResult("partition", violations == 0, comparisons, violations, skipped,
+                       _budget_note(skipped, tried, "chi", chi_budget))
 
 
 def check_oracle_self_agreement(pairs: list[CorpusInstance], sink: DumpSink,
@@ -556,8 +574,10 @@ def check_oracle_self_agreement(pairs: list[CorpusInstance], sink: DumpSink,
             sink.dump("oracle-self-agreement", inst, {
                 "pruned": oracle.value, "sweep": sweep,
             })
+    tried = sum(1 for inst in pairs if inst.h.n <= 12)
     return CheckResult("oracle-self-agreement", violations == 0, comparisons,
-                       violations, skipped)
+                       violations, skipped,
+                       _budget_note(skipped, tried, "alpha", alphas.budget))
 
 
 def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink) -> CheckResult:
@@ -625,6 +645,9 @@ def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
             lines.append(f"  note: {note}")
     for stem in sink.written:
         lines.append(f"counterexample: {stem}")
+    if sink.dropped:
+        lines.append(f"note: {len(sink.written)} counterexample dumps written, "
+                     f"{sink.dropped} dropped at the cap of {sink.limit}")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
     report = "\n".join(lines) + "\n"
     return VerifyOutcome(passed, tuple(results), tuple(sink.written), report)

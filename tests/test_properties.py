@@ -9,12 +9,15 @@ unranker that walks the first element up one id at a time, exact
 oracles that recount every induced degree at every search node and
 recurse once per assigned vertex, a .hg parser that sorts every edge
 line and keeps a dict of every edge, a constructor that sorts and
-checks every edge, and degree-sequence bounds that add one weight per
-vertex, rebuilding the product for each.  Hypothesis runs
-derandomized, so every run draws the same cases.
+checks every edge, degree-sequence bounds that add one weight per
+vertex, rebuilding the product for each, and f, g, the product table
+and the whole bound report evaluated with a Fraction at every step (the
+integer-numerator evaluation must give the same values).  Hypothesis
+runs derandomized, so every run draws the same cases.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kindep import (
+    DIAGNOSTIC_BOUNDS,
+    BoundReport,
+    BoundValue,
     ExtractionDefect,
     HgParseError,
     Hypergraph,
@@ -32,9 +38,12 @@ from kindep import (
     best_extract,
     bound_caro_tuza_alpha,
     bound_caro_tuza_k,
+    bound_cps,
     bound_report,
     chi_k_exact,
     cps_per_vertex,
+    eval_f,
+    eval_g,
     gen_complete,
     gen_random_uniform,
     greedy_peel,
@@ -43,6 +52,7 @@ from kindep import (
     partition_extract,
     write_hg,
 )
+from kindep.bounds import _ordinary_products
 from kindep.exact import OracleResult
 from kindep.extract import _augment, _PeelState
 from kindep.generators import _unrank_subset
@@ -320,6 +330,120 @@ def test_bounds_scale_with_replication(h, k, copies):
             assert r.applicable == b.applicable
     if h.s >= 3:
         assert cps_per_vertex(h.replicate(copies)) == cps_per_vertex(h)
+
+
+# -- reference bound evaluation: a Fraction at every step -------------------
+
+def ref_eval_f(x):
+    x = Fraction(x)
+    fl = math.floor(x)
+    fpart = x - fl
+    return (1 + Fraction(fpart * (1 - fpart), (fl + 1) * (fl + 2))) / (1 + x)
+
+
+def ref_eval_g(x):
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(1)
+    cl = math.ceil(x)
+    return (2 * cl - x) / Fraction(cl * (cl + 1))
+
+
+def ref_ordinary_products(s, top):
+    out = [Fraction(1)]
+    for j in range(1, top + 1):
+        q = j * (s - 1) + 1
+        out.append(out[-1] * Fraction(q - 1, q))
+    return out
+
+
+def ref_caro_tuza_k(h, kc, name):
+    hist = Counter(h.degrees)
+    prods = ref_ordinary_products(h.s, max(1, max(hist) - kc + 1))
+    total = sum(
+        count * (1 - Fraction(d, kc * h.s) if d <= kc else prods[d - kc + 1])
+        for d, count in hist.items()
+    )
+    return BoundValue(name, total, True)
+
+
+def ref_bound_report(h, k):
+    if k == 0:
+        bounds = [BoundValue("max_degree", None, False, "k = 0 (bound divides by k)")]
+    else:
+        bounds = [BoundValue("max_degree", Fraction(h.n, max(1, -(-h.max_degree // k))), True)]
+    x = Fraction(2 * h.e, h.n * (k + 1))
+    bounds += [
+        BoundValue("edge_count", h.n - Fraction(h.e, k + 1), True),
+        BoundValue("avg_degree", ref_eval_f(x) * h.n, True),
+        BoundValue("avg_degree_simple",
+                   Fraction(h.n * h.n * (k + 1), h.n * (k + 1) + 2 * h.e), True),
+    ]
+    if k == 0:
+        hist = Counter(h.degrees)
+        prods = ref_ordinary_products(h.s, max(hist))
+        total = sum(count * prods[d] for d, count in hist.items())
+        bounds += [BoundValue("caro_tuza_alpha", total, True), bound_cps(h)]
+    bounds.append(ref_caro_tuza_k(h, k + 1, "caro_tuza_k"))
+    if k >= 1:
+        bounds.append(ref_caro_tuza_k(h, k, "caro_tuza_k_diag"))
+    else:
+        bounds.append(BoundValue("caro_tuza_k_diag", None, False, "index 0 is outside the bound"))
+    best = max(b.ceiled() for b in bounds if b.applicable and b.name not in DIAGNOSTIC_BOUNDS)
+    return BoundReport(h.n, h.e, h.s, k, h.max_degree, h.avg_degree, tuple(bounds), best)
+
+
+rationals = st.one_of(
+    st.integers(0, 10**6),
+    st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+)
+
+
+@SETTINGS
+@given(rationals)
+def test_f_and_g_match_fraction_step_reference(x):
+    assert eval_f(x) == ref_eval_f(x)
+    assert eval_g(x) == ref_eval_g(x)
+
+
+@SETTINGS
+@given(st.integers(2, 6), st.sets(st.integers(0, 200), min_size=1, max_size=6))
+def test_ordinary_products_match_fraction_step_reference(s, indexes):
+    nums, den = _ordinary_products(s, indexes)
+    ref = ref_ordinary_products(s, max(indexes))
+    assert sorted(nums) == sorted(indexes)
+    assert {i: Fraction(num, den) for i, num in nums.items()} == {i: ref[i] for i in indexes}
+    assert den == math.prod(j * (s - 1) + 1 for j in range(1, max(indexes) + 1))
+
+
+@SETTINGS
+@given(hypergraphs(n_max=30), st.integers(0, 3))
+def test_bound_report_matches_fraction_step_reference(h, k):
+    assert bound_report(h, k).to_json_dict() == ref_bound_report(h, k).to_json_dict()
+
+
+def star(leaves):
+    return Hypergraph(leaves + 1, 2, tuple((0, v) for v in range(1, leaves + 1)))
+
+
+def test_high_degree_products_match_closed_forms():
+    # s = 2 products telescope, P[i] = 1/(i+1): the Caro-Wei sum
+    h = star(5000)
+    assert bound_caro_tuza_alpha(h).value == Fraction(5000, 2) + Fraction(1, 5001)
+    assert bound_caro_tuza_k(h, 2).value == 5000 * Fraction(3, 4) + Fraction(1, 5000)
+    assert bound_report(h, 1).to_json_dict() == ref_bound_report(h, 1).to_json_dict()
+
+
+@pytest.mark.parametrize("h", [
+    Hypergraph(5, 3), gen_complete(4, 3), gen_complete(6, 2), star(40),
+    gen_random_uniform(14, 30, 3, 5), gen_random_uniform(30, 90, 4, 7),
+], ids=["edgeless", "K4-3", "K6-2", "star40", "r14-30-s3", "r30-90-s4"])
+def test_exact_bounds_are_fractions(h):
+    # JSON num/den and the table's exact column read the Fraction fields
+    for k in range(4):
+        for b in bound_report(h, k).bounds:
+            if b.applicable and b.name != "cps":
+                assert type(b.value) is Fraction, (k, b.name)
 
 
 # -- reference unranking: linear walk over the first element -----------------

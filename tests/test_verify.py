@@ -191,3 +191,43 @@ def test_budget_starvation_skips_instead_of_failing(tmp_path):
     soundness = outcome.checks[0]
     assert soundness.skipped > 0
     assert soundness.passed
+
+
+def test_budget_skips_are_noted(tmp_path, small_outcome):
+    cfg = replace(
+        SMALL,
+        checks=("bound-soundness", "partition", "oracle-self-agreement"),
+        alpha_budget=1,
+        chi_budget=1,
+        random_count=5,
+    )
+    outcome = run_verify(cfg, out_dir=str(tmp_path))
+    pairs = build_exhaustive_corpus(cfg) + build_random_corpus(cfg)
+    totals = {
+        "bound-soundness": ("alpha", len(pairs)),
+        "partition": ("chi", sum(1 for inst in pairs if inst.k >= 1)),
+        "oracle-self-agreement": ("alpha", sum(1 for inst in pairs if inst.h.n <= 12)),
+    }
+    lines = outcome.report_text.splitlines()
+    for check in outcome.checks:
+        assert check.skipped > 0
+        oracle, total = totals[check.name]
+        note = (f"skipped {check.skipped}/{total} pairs: the {oracle} oracle "
+                f"exceeded its node budget of 1")
+        assert note in check.notes
+        at = lines.index(next(l for l in lines if l.startswith(f"check {check.name}:")))
+        assert f"  note: {note}" in lines[at + 1:at + 1 + len(check.notes)]
+    # a run that skips nothing prints no coverage note
+    assert "skipped" not in small_outcome.report_text
+
+
+def test_dropped_dumps_are_noted(tmp_path, small_outcome):
+    cfg = replace(SMALL, fault_injection="overclaim-bounds")
+    outcome = run_verify(cfg, out_dir=str(tmp_path))
+    violations = sum(c.violations for c in outcome.checks)
+    assert violations > 16 and len(outcome.dumps) == 16
+    lines = outcome.report_text.splitlines()
+    assert lines[-2] == (f"note: 16 counterexample dumps written, {violations - 16} "
+                         f"dropped at the cap of 16")
+    assert lines[-3] == f"counterexample: {outcome.dumps[-1]}"
+    assert "dropped" not in small_outcome.report_text
