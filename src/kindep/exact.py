@@ -7,10 +7,12 @@ corpora.  Both searches update degrees incrementally from vertex
 incidence lists instead of recounting O(e + n) per node.  An alpha
 node costs O(s * deg u) to drop its vertex, an O(n) `max` for its
 violator and an O(n) degree restore for each later sibling; children
-cut on entry still count in `nodes` but cost O(1) as a group.  A chi
-node costs O(s * deg v) per class tried.  The node count is part of
-every result, so the search tree itself is fixed output: a pruning
-rule that cuts it changes the printed bytes.
+cut on entry still count in `nodes` but cost O(1) as a group.  On a
+graph (s = 2) a chi node costs three mask operations per class tried
+and O(k) for the class it accepts; for s >= 3 it costs O(s * deg v)
+per class tried.  The node count is part of every result, so the
+search tree itself is fixed output: a pruning rule that cuts it
+changes the printed bytes.
 
 A node budget turns an over-large call into an explicit
 "budget_exceeded" result; the oracle never returns an approximation.
@@ -222,32 +224,41 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
 
 
 def alpha_k_bruteforce(h: Hypergraph, k: int) -> int:
-    """Plain sweep over all 2^n subsets; reference for the pruned search."""
+    """Plain exhaustive sweep; reference for the pruned search.
+
+    Tries the subsets by size from n down, the masks of one size in
+    increasing order (Gosper's next-combination step), and returns the
+    size of the first k-independent one.  Each candidate is checked by
+    counting its induced degrees from scratch; nothing is pruned and
+    nothing is shared with `alpha_k_exact`.
+    """
     if h.n > 20:
         raise ValueError("bruteforce reference is for small n only")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    best = 0
+    n = h.n
     masks = h.edge_masks
     edges = h.edges
-    for smask in range(1 << h.n):
-        size = bin(smask).count("1")
-        if size <= best:
-            continue
-        deg = [0] * h.n
-        ok = True
-        for emask, edge in zip(masks, edges):
-            if emask & smask == emask:
-                for v in edge:
-                    deg[v] += 1
-                    if deg[v] > k:
-                        ok = False
+    for size in range(n, 0, -1):
+        smask = (1 << size) - 1
+        while smask >> n == 0:
+            deg = [0] * n
+            ok = True
+            for emask, edge in zip(masks, edges):
+                if emask & smask == emask:
+                    for v in edge:
+                        deg[v] += 1
+                        if deg[v] > k:
+                            ok = False
+                            break
+                    if not ok:
                         break
-                if not ok:
-                    break
-        if ok:
-            best = size
-    return best
+            if ok:
+                return size
+            low = smask & -smask
+            ripple = smask + low
+            smask = ((ripple ^ smask) >> 2) // low | ripple
+    return 0
 
 
 def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) -> list[int] | None:
@@ -258,11 +269,19 @@ def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) ->
 
     An edge is charged to its last vertex: it closes in class t when the
     rest of it is already in t, a mask-subset test against `members[t]`.
-    A node costs O(s * deg v) per class tried.  The search keeps an
-    explicit stack, one entry per assigned vertex, so its depth is not
-    bounded by the interpreter's recursion limit.
+    On graphs (s = 2) the class test is three mask operations, see
+    `_graph_partition_search`.  For s >= 3 a node costs O(s * deg v) per
+    class tried: the closed edges are charged, and uncharged again when
+    the class fails.  The search keeps an explicit stack, one entry per
+    assigned vertex, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     n = h.n
+    if h.s == 2:
+        lower = [0] * n
+        for u, v in h.edges:
+            lower[v] |= 1 << u
+        return _graph_partition_search(lower, k, classes, meter)
     by_last: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for emask, edge in zip(h.edge_masks, h.edges):
         last = edge[-1]
@@ -306,6 +325,72 @@ def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) ->
             t, used, done = stack.pop()
             members[t] &= ~(1 << v)
             _undo(cls_deg[t], done)
+            t += 1
+        else:
+            return None
+
+
+def _graph_partition_search(lower: list[int], k: int, classes: int,
+                            meter: _NodeMeter) -> list[int] | None:
+    """`_partition_search` on a graph, whose edges ending at v have the
+    rests `lower[v]`, the mask of v's lower-id neighbours.
+
+    The edges v closes in class t are `lower[v] & members[t]`, and v's
+    degree inside t is their count.  `full` holds the assigned vertices
+    whose degree inside their own class is already k; classes are
+    disjoint, so class t fails exactly when v would close more than k
+    edges or close one at a vertex of `full`.  A rejected class costs
+    three mask operations and changes nothing; degrees and `full` move
+    only when a class is accepted and when the stack pops, O(k) each.
+    Same tree, ticks and result as the per-edge loop.
+    """
+    n = len(lower)
+    members = [0] * classes
+    deg = [0] * n  # degree of each assigned vertex inside its own class
+    full = 0
+    # per assigned vertex: (its class, classes used before it, closed mask)
+    stack: list[tuple[int, int, int]] = []
+    v, used, t = 0, 0, 0
+    meter.tick()
+    while True:
+        limit = min(used + 1, classes)
+        low = lower[v]
+        while t < limit:
+            closed = low & members[t]
+            if not closed & full and closed.bit_count() <= k:
+                break
+            t += 1
+        if t < limit:
+            stack.append((t, used, closed))
+            bit = 1 << v
+            members[t] |= bit
+            deg[v] = closed.bit_count()
+            if deg[v] == k:
+                full |= bit
+            while closed:
+                bit = closed & -closed
+                u = bit.bit_length() - 1
+                deg[u] += 1
+                if deg[u] == k:
+                    full |= bit
+                closed ^= bit
+            if t == used:
+                used += 1
+            v += 1
+            if v == n:
+                return members
+            meter.tick()
+            t = 0
+        elif stack:
+            v -= 1
+            t, used, closed = stack.pop()
+            members[t] &= ~(1 << v)
+            # every closed vertex drops below k, and v leaves its class
+            full &= ~(closed | 1 << v)
+            while closed:
+                bit = closed & -closed
+                deg[bit.bit_length() - 1] -= 1
+                closed ^= bit
             t += 1
         else:
             return None

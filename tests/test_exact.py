@@ -131,6 +131,25 @@ def test_chi_trivial_and_guards(k4):
         chi_k_exact(k4, 0)
 
 
+def test_chi_pinned_on_a_dense_graph():
+    # the bench's chi query: n = 30 and 200 edges, above the n <= 20 the
+    # graph reference draws; value, witness and node count are fixed output
+    res = chi_k_exact(gen_random_uniform(30, 200, 2, 114), 2)
+    assert res.to_json_dict() == {
+        "quantity": "chi_k",
+        "k": 2,
+        "value": 4,
+        "status": "exact",
+        "witness": [
+            [1, 2, 3, 5, 15, 20, 24],
+            [4, 6, 10, 13, 17, 19, 28, 29],
+            [7, 8, 11, 14, 16, 22, 25, 27, 30],
+            [9, 12, 18, 21, 23, 26],
+        ],
+        "nodes": 138842,
+    }
+
+
 def test_chi_budget_exceeded():
     h = gen_complete(8, 3)
     res = chi_k_exact(h, 1, node_budget=2)

@@ -33,6 +33,7 @@ from kindep import (
     HgParseError,
     Hypergraph,
     HypergraphError,
+    alpha_k_bruteforce,
     alpha_k_exact,
     band_peel,
     best_extract,
@@ -61,9 +62,9 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def hypergraphs(draw, n_max=24):
+def hypergraphs(draw, n_max=24, s_max=4):
     n = draw(st.integers(1, n_max))
-    s = draw(st.integers(2, 4))
+    s = draw(st.integers(2, s_max))
     if s > n:
         return Hypergraph(n, s)
     raw = draw(st.lists(
@@ -143,6 +144,30 @@ def test_greedy_peel_matches_scan_reference(h, k):
 @given(hypergraphs(), st.integers(0, 3))
 def test_band_peel_matches_scan_reference(h, k):
     assert as_pair(band_peel(h, k)) == ref_band(h, k)
+
+
+def replay_removals(h, result):
+    """Remove the trace's vertices in order, checking each step's degree
+    against a recount in the remainder; the survivors must be the set."""
+    alive = set(range(h.n))
+    for step in result.trace:
+        assert step.vertex in alive
+        degree = sum(1 for edge in h.edges if step.vertex in edge and alive.issuperset(edge))
+        assert step.degree == degree
+        alive.remove(step.vertex)
+    assert tuple(sorted(alive)) == result.vertices
+
+
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_peel_traces_replay_to_their_sets(h, k):
+    greedy = greedy_peel(h, k)
+    assert all(step.op == "remove" for step in greedy.trace)
+    replay_removals(h, greedy)
+    band = band_peel(h, k)
+    # a band trace that ends in partition moves has no removal order to replay
+    if all(step.op == "remove" for step in band.trace):
+        replay_removals(h, band)
 
 
 def ref_band_probe(h, k, probe):
@@ -637,16 +662,67 @@ def test_alpha_every_budget_matches_reference(h, k):
 
 
 @SETTINGS
-@given(hypergraphs(n_max=14), st.integers(1, 2))
+@given(hypergraphs(n_max=14), st.integers(1, 3))
 def test_chi_matches_recursive_reference(h, k):
     assert chi_k_exact(h, k).to_json_dict() == ref_chi(h, k).to_json_dict()
 
 
 @SETTINGS
-@given(hypergraphs(n_max=14), st.integers(1, 2), st.integers(1, 40))
+@given(hypergraphs(n_max=14), st.integers(1, 3), st.integers(0, 40))
 def test_chi_budget_trips_at_reference_node(h, k, budget):
     got = chi_k_exact(h, k, node_budget=budget).to_json_dict()
     assert got == ref_chi(h, k, node_budget=budget).to_json_dict()
+
+
+@SETTINGS
+@given(hypergraphs(n_max=20, s_max=2), st.integers(1, 3))
+def test_chi_on_graphs_matches_recursive_reference(h, k):
+    # graphs take the neighbour-mask class test; larger n than the mixed draw
+    assert chi_k_exact(h, k).to_json_dict() == ref_chi(h, k).to_json_dict()
+
+
+@pytest.mark.parametrize("h, k", [
+    (gen_random_uniform(14, 40, 2, 9), 2),
+    (gen_random_uniform(12, 60, 3, 0), 2),
+    (gen_random_uniform(12, 120, 4, 0), 1),
+], ids=["r14-40-s2-k2", "r12-60-s3-k2", "r12-120-s4-k1"])
+def test_chi_every_budget_matches_reference(h, k):
+    # every budget, through every deepening round, stops at the reference's node
+    nodes = ref_chi(h, k).nodes
+    for budget in range(nodes + 2):
+        got = chi_k_exact(h, k, node_budget=budget).to_json_dict()
+        assert got == ref_chi(h, k, node_budget=budget).to_json_dict(), budget
+
+
+def ref_alpha_bruteforce(h, k):
+    """The ascending 2^n sweep: every mask larger than the best so far
+    is checked by a full degree recount."""
+    best = 0
+    for smask in range(1 << h.n):
+        size = bin(smask).count("1")
+        if size <= best:
+            continue
+        deg = [0] * h.n
+        ok = True
+        for emask, edge in zip(h.edge_masks, h.edges):
+            if emask & smask == emask:
+                for v in edge:
+                    deg[v] += 1
+                    if deg[v] > k:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok:
+            best = size
+    return best
+
+
+@SETTINGS
+@given(hypergraphs(n_max=12), st.integers(0, 3))
+def test_alpha_bruteforce_matches_ascending_sweep(h, k):
+    # the draw includes n < s and edgeless hypergraphs
+    assert alpha_k_bruteforce(h, k) == ref_alpha_bruteforce(h, k)
 
 
 # -- reference .hg parser and constructor: sort and check every edge ---------
