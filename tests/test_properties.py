@@ -7,7 +7,8 @@ partition search that recounts every class degree per move, an
 augmentation that re-checks the whole set with `is_k_independent`, an
 unranker that walks the first element up one id at a time, exact
 oracles that recount every induced degree at every search node and
-recurse once per assigned vertex, a .hg parser that sorts every edge
+recurse once per assigned vertex, a brute-force alpha that
+sweeps every mask in ascending order, a .hg parser that sorts every edge
 line and keeps a dict of every edge, a constructor that sorts and
 checks every edge, degree-sequence bounds that add one weight per
 vertex, rebuilding the product for each, and f, g, the product table
