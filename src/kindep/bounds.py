@@ -238,7 +238,7 @@ def bound_caro_tuza_alpha(h: Hypergraph) -> BoundValue:
     return _caro_tuza_alpha(_degree_table(h, (1,)))
 
 
-def bound_caro_tuza_k(h: Hypergraph, kc: int, name: str = "caro_tuza_k") -> BoundValue:
+def bound_caro_tuza_k(h: Hypergraph, kc: int) -> BoundValue:
     """Sum of the piecewise weights over the degree sequence; kc >= 1
     is the bound's own index (one more than this package's k).
 
@@ -249,7 +249,7 @@ def bound_caro_tuza_k(h: Hypergraph, kc: int, name: str = "caro_tuza_k") -> Boun
     """
     if kc < 1:
         raise ValueError(f"index must be >= 1, got {kc}")
-    return _caro_tuza_k(h.s, kc, _degree_table(h, (kc,)), name)
+    return _caro_tuza_k(h.s, kc, _degree_table(h, (kc,)), "caro_tuza_k")
 
 
 def cps_per_vertex(h: Hypergraph) -> float:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, bounds, extract, exact, verify, compare.  Exit codes
-are a stable contract: 0 success, 1 verification or property failure,
-2 usage or input error.  Structured output is JSON by default; bounds
-can also render an aligned table.
+are a stable contract: 0 success, 1 verification or property failure
+or an extraction defect, 2 usage or input error.  Structured output is
+JSON by default; bounds can also render an aligned table.
 """
 
 from __future__ import annotations
@@ -130,11 +130,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     h = load_hg(args.file)
     if args.algo == "partition" and args.k == 0:
         raise _UsageError("partition extraction requires k >= 1")
-    try:
-        result = _ALGORITHMS[args.algo](h, args.k)
-    except ExtractionDefect as exc:
-        print(f"defect: {exc}", file=sys.stderr)
-        return 1
+    result = _ALGORITHMS[args.algo](h, args.k)
     _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.output)
     return 0
 
@@ -312,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
+    except ExtractionDefect as exc:  # an extractor bug, on any subcommand
+        print(f"defect: {exc}", file=sys.stderr)
+        return 1
     except (_UsageError, HypergraphError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

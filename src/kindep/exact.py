@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from kindep.extract import _PeelState
 from kindep.hypergraph import Hypergraph
 
 
@@ -97,8 +98,9 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
 def _incident_edges(h: Hypergraph) -> list[list[tuple[int, tuple[int, ...]]]]:
     """(edge mask, edge) for every edge through each vertex, in edge order.
 
-    Built here rather than from the cached `h.incidence`, so a search
-    leaves nothing behind on the hypergraphs a caller keeps alive.
+    Built per search rather than cached on `h`, so a search leaves no
+    pair lists behind on the hypergraphs a caller keeps alive (the seed
+    peel caches `h.incidence`, as every extractor does).
     """
     inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(h.n)]
     for pair in zip(h.edge_masks, h.edges):
@@ -121,20 +123,6 @@ def _undo(deg: list[int], edges: list[tuple[int, ...]]) -> None:
     for edge in edges:
         for w in edge:
             deg[w] -= 1
-
-
-def _greedy_seed(h: Hypergraph, k: int, inc: list) -> int:
-    """Peel worst violators (max degree, lowest id) until k-independent;
-    mask of the survivors."""
-    smask = (1 << h.n) - 1
-    deg = [len(edges) for edges in inc]
-    top = max(deg)
-    while top > k:
-        v = deg.index(top)
-        _drop(deg, inc[v], smask)
-        smask &= ~(1 << v)
-        top = max(deg)
-    return smask
 
 
 def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> OracleResult:
@@ -164,8 +152,11 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     start = time.perf_counter()
     meter = _NodeMeter(node_budget)
     inc = _incident_edges(h)
-    best_mask = _greedy_seed(h, k, inc)
-    best = bin(best_mask).count("1")
+    # incumbent: the greedy peel's survivors
+    seed = _PeelState(h)
+    seed.peel(k + 1)
+    best_mask = sum(1 << v for v in seed.survivors())
+    best = seed.n_alive
     deg = [len(edges) for edges in inc]
 
     def explore(smask: int, required: int, size: int) -> None:
@@ -261,31 +252,22 @@ def alpha_k_bruteforce(h: Hypergraph, k: int) -> int:
     return 0
 
 
-def _partition_search(h: Hypergraph, k: int, classes: int, meter: _NodeMeter) -> list[int] | None:
+def _partition_search(by_last: list[list[tuple[int, tuple[int, ...]]]], k: int,
+                      classes: int, meter: _NodeMeter) -> list[int] | None:
     """Backtracking assignment of vertices (in id order) to `classes`
     classes, each keeping induced max degree <= k; returns the class
     membership masks, or None.  Symmetry is broken by allowing a vertex
     only the used classes plus one fresh one.
 
-    An edge is charged to its last vertex: it closes in class t when the
-    rest of it is already in t, a mask-subset test against `members[t]`.
-    On graphs (s = 2) the class test is three mask operations, see
-    `_graph_partition_search`.  For s >= 3 a node costs O(s * deg v) per
-    class tried: the closed edges are charged, and uncharged again when
-    the class fails.  The search keeps an explicit stack, one entry per
-    assigned vertex, so its depth is not bounded by the interpreter's
-    recursion limit.
+    An edge is charged to its last vertex: `by_last[v]` holds (rest
+    mask, edge) for each edge ending at v, and the edge closes in class
+    t when its rest is already in t, a mask-subset test against
+    `members[t]`.  A node costs O(s * deg v) per class tried: the closed
+    edges are charged, and uncharged again when the class fails.  The
+    search keeps an explicit stack, one entry per assigned vertex, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
-    n = h.n
-    if h.s == 2:
-        lower = [0] * n
-        for u, v in h.edges:
-            lower[v] |= 1 << u
-        return _graph_partition_search(lower, k, classes, meter)
-    by_last: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for emask, edge in zip(h.edge_masks, h.edges):
-        last = edge[-1]
-        by_last[last].append((emask & ~(1 << last), edge))
+    n = len(by_last)
     members = [0] * classes
     cls_deg = [[0] * n for _ in range(classes)]
     # per assigned vertex: (its class, classes used before it, edges it closed)
@@ -402,15 +384,28 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
 
     n singleton classes are always valid (s >= 2), so deepening from 1
     terminates without leaning on any bound under test.  One node
-    budget is shared across the deepening rounds.
+    budget is shared across the deepening rounds, and so is the table
+    of charged edges that `_graph_partition_search` (s = 2) or
+    `_partition_search` (s >= 3) reads.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1 for the partition oracle, got {k}")
     start = time.perf_counter()
     meter = _NodeMeter(node_budget)
+    if h.s == 2:
+        lower = [0] * h.n
+        for u, v in h.edges:
+            lower[v] |= 1 << u
+        search, table = _graph_partition_search, lower
+    else:
+        by_last: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(h.n)]
+        for emask, edge in zip(h.edge_masks, h.edges):
+            last = edge[-1]
+            by_last[last].append((emask & ~(1 << last), edge))
+        search, table = _partition_search, by_last
     for classes in range(1, h.n + 1):
         try:
-            members = _partition_search(h, k, classes, meter)
+            members = search(table, k, classes, meter)
         except _BudgetExceeded:
             return OracleResult("chi_k", k, None, "budget_exceeded", None,
                                 meter.spent, time.perf_counter() - start)

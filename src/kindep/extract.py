@@ -13,7 +13,7 @@ hypergraph before it is returned; a failed re-verification raises
 ExtractionDefect and is a bug by definition, never a degraded answer.
 
 All reported vertex ids refer to the caller's hypergraph, also where
-band_peel's fallback works on an induced copy of its remainder.
+band_peel partitions an induced copy of a stalled remainder.
 """
 
 from __future__ import annotations
@@ -160,20 +160,17 @@ class _PeelState:
         return tuple(compress(range(self.h.n), self.alive))
 
 
-def greedy_peel(h: Hypergraph, k: int, threshold: int | None = None) -> ExtractionResult:
-    """Peel vertices of current degree >= threshold until none remain.
+def greedy_peel(h: Hypergraph, k: int) -> ExtractionResult:
+    """Peel vertices of current degree >= k+1 until none remain.
 
-    The default threshold k+1 makes every survivor's induced degree at
-    most k, and each removal kills at least k+1 edges, so the survivor
-    count is at least n - e/(k+1).
+    Every survivor's induced degree is then at most k, and each removal
+    kills at least k+1 edges, so the survivor count is at least
+    n - e/(k+1).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    theta = k + 1 if threshold is None else threshold
-    if theta < 1:
-        raise ValueError(f"threshold must be >= 1, got {theta}")
     state = _PeelState(h)
-    trace = state.peel(theta)
+    trace = state.peel(k + 1)
     return _finalize(h, k, "greedy_peel", state.survivors(), tuple(trace))
 
 
@@ -187,8 +184,10 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
     band and the next phase runs on it.  Band 0 is plain greedy peeling.
     All phases peel one `_PeelState`, so a phase costs O(n) plus its
     removals, and the trace is the phases concatenated in input ids.
-    If a phase removes nothing, the remainder gets the best of greedy
-    and (for k >= 1) partition extraction instead.
+    Band 0 and a phase that removes nothing end at one exit: greedy
+    peeling of the same state at k+1 finishes the remainder, unless the
+    phase stalled at k >= 1 and the largest class of a partition of the
+    remainder (an induced copy, ids mapped back) is strictly larger.
 
     Greedy peeling of a remainder never beats this: a band threshold is
     at least k+1, so greedy on it removes the same victims as the phase
@@ -202,14 +201,13 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
         raise ValueError(f"k must be nonnegative, got {k}")
     state = _PeelState(h)
     trace = []
+    part = None
     while True:
         n, e = state.n_alive, state.e_alive
         # band: the least r >= 0 with d <= (s/2)(r+1)(k+1), that is, with
         # x = 2e/(n(k+1)) <= r+1
         r = max(0, -(-2 * e // (n * (k + 1))) - 1)
         if r == 0:
-            trace += state.peel(k + 1)
-            vertices = state.survivors()
             break
         t_num, t_den = 2 * e - n * r * (k + 1), (r + 2) * (k + 1)
         cap = -(-t_num // t_den)
@@ -232,17 +230,19 @@ def band_peel(h: Hypergraph, k: int, probe: list | None = None) -> ExtractionRes
                 entry["stop_classes_ok"] = -(-max(state.deg) // k) <= r + 1
             probe.append(entry)
         if removed == 0:
-            # threshold found no vertex at all: fall back to the best of the
-            # other engines rather than peeling an unchanged remainder
-            survivors = state.survivors()
-            rest = h.induced(survivors) if state.n_alive < h.n else h
-            contenders = [greedy_peel(rest, k)]
+            # the threshold found no vertex at all: rather than peel an
+            # unchanged remainder, finish it greedily, against a partition
             if k >= 1:
-                contenders.append(partition_extract(rest, k))
-            winner = max(contenders, key=lambda res: res.size)
-            vertices = tuple(survivors[v] for v in winner.vertices)
-            trace += [TraceStep(t.op, survivors[t.vertex], t.degree) for t in winner.trace]
+                survivors = state.survivors()
+                rest = h.induced(survivors) if state.n_alive < h.n else h
+                part = partition_extract(rest, k)
             break
+    finish = state.peel(k + 1)
+    vertices = state.survivors()
+    if part is not None and part.size > len(vertices):
+        vertices = tuple(survivors[v] for v in part.vertices)
+        finish = [TraceStep(t.op, survivors[t.vertex], t.degree) for t in part.trace]
+    trace += finish
     return _finalize(h, k, "band_peel", vertices, tuple(trace))
 
 

@@ -421,13 +421,12 @@ def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink) ->
                     d_drop_misses += 1
         if k >= 1:
             p = partition_extract(h, k)
-            classes = max(1, -(-h.max_degree // k))
+            target = bound_max_degree(h, k).ceiled()
             comparisons += 1
-            if p.size < -(-h.n // classes):
+            if p.size < target:
                 violations += 1
                 sink.dump("extraction-achievement", inst, {
-                    "algorithm": "partition_extract", "size": p.size,
-                    "target": -(-h.n // classes),
+                    "algorithm": "partition_extract", "size": p.size, "target": target,
                 })
     notes = (
         f"band phases: {full_phases} ran to the cap, {early_stops} stopped early",

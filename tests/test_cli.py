@@ -5,12 +5,14 @@ confirms the installed entry point wires up to the same main.
 """
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from kindep import gen_complete, gen_random_uniform, write_hg
+from kindep import ExtractionDefect, gen_complete, gen_random_uniform, write_hg
+from kindep import extract
 from kindep.cli import main
 
 K4_TEXT = write_hg(gen_complete(4, 3))
@@ -170,6 +172,28 @@ def test_extract_partition_rejects_k0(k4_file, capsys):
                            "--algo", "partition")
     assert code == 2
     assert "k >= 1" in err
+
+
+def _raise_defect(h, k, algorithm, vertices, trace):
+    raise ExtractionDefect(f"{algorithm} returned a non-{k}-independent set: "
+                           f"vertex 0 has induced degree > {k}")
+
+
+@pytest.mark.parametrize("command", ["extract", "compare", "verify"])
+def test_defect_exits_1_on_every_subcommand(k4_file, tmp_path, monkeypatch, capsys, command):
+    # the re-verification net in kindep.extract fails for every extractor
+    monkeypatch.setattr(extract, "_finalize", _raise_defect)
+    if command == "verify":
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(SMALL_CONFIG + "checks = extraction-achievement\n")
+        argv = ["verify", "--config", str(cfg_path)]
+    else:
+        argv = [command, k4_file, "-k", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"defect: greedy_peel returned a non-(\d)-independent set: "
+                        r"vertex 0 has induced degree > \1\n", err)
 
 
 def test_exact_alpha(k4_file, capsys):

@@ -24,6 +24,7 @@ from kindep import (
     load_hg,
     partition_extract,
 )
+from kindep.extract import _finalize
 
 
 @pytest.fixture
@@ -67,15 +68,11 @@ def test_greedy_peel_trace_replay(k4):
             assert tuple(sorted(set(range(h.n)) - set(removed))) == res.vertices
 
 
-def test_greedy_custom_threshold(k4):
-    lax = greedy_peel(k4, 2, threshold=3)
-    assert lax.size == 3
+def test_finalize_rejects_a_dependent_set(k4):
     with pytest.raises(ExtractionDefect):
-        # threshold too lax for k = 0: survivors keep an edge, and the
-        # mandatory re-verification must catch it
-        greedy_peel(k4, 0, threshold=4)
-    with pytest.raises(ValueError):
-        greedy_peel(k4, 0, threshold=0)
+        # all of K4 keeps every edge at k = 0, and the mandatory
+        # re-verification must catch it
+        _finalize(k4, 0, "greedy_peel", (0, 1, 2, 3), ())
     with pytest.raises(ValueError):
         greedy_peel(k4, -1)
 
@@ -232,7 +229,7 @@ def test_defect_names_the_worst_vertex(k4):
     # every K4 vertex keeps induced degree 3; the lowest id is named
     with pytest.raises(ExtractionDefect, match=r"^greedy_peel returned a non-0-independent "
                                                r"set: vertex 0 has induced degree > 0$"):
-        greedy_peel(k4, 0, threshold=4)
+        _finalize(k4, 0, "greedy_peel", (0, 1, 2, 3), ())
 
 
 def test_band_peel_deep_band_regression():

@@ -147,6 +147,28 @@ def test_band_peel_matches_scan_reference(h, k):
     assert as_pair(band_peel(h, k)) == ref_band(h, k)
 
 
+def test_band_peel_takes_the_partition_after_a_stall():
+    # the third phase stalls at r = 1 with cap 1; the largest partition
+    # class of the 7-vertex remainder (4) beats greedy peeling of it (3),
+    # which the drawn cases above almost never reach.  Recorded from the
+    # implementation that ran a nested greedy_peel on an induced copy.
+    h = gen_random_uniform(11, 46, 2, 779972)
+    res = band_peel(h, 2)
+    assert res.to_json_dict() == {
+        "algorithm": "band_peel", "k": 2, "size": 4, "set": [1, 4, 5, 7],
+        "certified_max_degree": 2,
+        "trace": [
+            {"op": "remove", "vertex": 6, "degree": 10},
+            {"op": "remove", "vertex": 11, "degree": 9},
+            {"op": "remove", "vertex": 3, "degree": 7},
+            {"op": "remove", "vertex": 8, "degree": 7},
+            {"op": "move", "vertex": 10, "degree": 3},
+            {"op": "move", "vertex": 5, "degree": 3},
+        ],
+    }
+    assert as_pair(res) == ref_band(h, 2)
+
+
 def replay_removals(h, result):
     """Remove the trace's vertices in order, checking each step's degree
     against a recount in the remainder; the survivors must be the set."""
