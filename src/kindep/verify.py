@@ -485,23 +485,29 @@ def check_fg_properties(sink: DumpSink) -> CheckResult:
 
 def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
     """alpha and all per-vertex bound values are invariant under taking
-    disjoint copies; alpha scales exactly by the copy count."""
-    comparisons = violations = 0
+    disjoint copies; alpha scales exactly by the copy count.  An instance
+    whose alpha, or the alpha of a copy, overruns the node budget is
+    skipped for the alpha comparisons; its bound comparisons still run."""
+    comparisons = violations = skipped = 0
     for i in range(cfg.replication_count):
         inst = _draw_replication_instance(cfg, i)
         h, k = inst.h, inst.k
-        base = alpha_k_exact(h, k)
+        base = alpha_k_exact(h, k, cfg.alpha_budget)
+        overran = base.status != "exact"
         base_report = bound_report(h, k)
         base_pv = cps_per_vertex(h) if h.s >= 3 else None
         for c in (2, 3):
             rep = h.replicate(c)
-            comparisons += 1
-            scaled = alpha_k_exact(rep, k)
-            if scaled.value != c * base.value:
-                violations += 1
-                sink.dump("replication", inst, {
-                    "copies": c, "alpha": base.value, "alpha_replicated": scaled.value,
-                })
+            if not overran:
+                scaled = alpha_k_exact(rep, k, cfg.alpha_budget)
+                overran = scaled.status != "exact"
+            if not overran:
+                comparisons += 1
+                if scaled.value != c * base.value:
+                    violations += 1
+                    sink.dump("replication", inst, {
+                        "copies": c, "alpha": base.value, "alpha_replicated": scaled.value,
+                    })
             rep_report = bound_report(rep, k)
             for b, rb in zip(base_report.bounds, rep_report.bounds):
                 comparisons += 1
@@ -516,7 +522,10 @@ def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
                         "copies": c, "bound": b.name,
                         "value": b.value, "value_replicated": rb.value,
                     })
-    return CheckResult("replication", violations == 0, comparisons, violations)
+        if overran:
+            skipped += 1
+    return CheckResult("replication", violations == 0, comparisons, violations, skipped,
+                       _budget_note(skipped, cfg.replication_count, "alpha", cfg.alpha_budget))
 
 
 def check_partition(pairs: list[CorpusInstance], sink: DumpSink,

@@ -236,6 +236,17 @@ def test_exact_chi_deeper_than_recursion_limit(tmp_path, capsys):
     assert (doc["status"], doc["value"]) == ("exact", 2)
 
 
+def test_exact_alpha_beyond_64_vertices(tmp_path, capsys):
+    path = tmp_path / "big.hg"
+    code, _, _ = run_cli(capsys, "gen", "--random", "-n", "80", "-m", "40", "-s", "2",
+                         "--seed", "1", "--output", str(path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "exact", str(path), "-k", "1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["status"], doc["value"], doc["nodes"]) == ("exact", 70, 30124)
+
+
 def test_exact_budget_exceeded_is_not_an_error(tmp_path, capsys):
     path = tmp_path / "k7.hg"
     path.write_text(write_hg(gen_complete(7, 3)))
@@ -254,6 +265,23 @@ def test_verify_small_config(tmp_path, capsys):
     assert code == 0
     assert out.startswith("corpus: 32 exhaustive pairs, 10 random pairs\n")
     assert out.endswith("result: PASS\n")
+
+
+def test_verify_budget_bounds_replication(tmp_path, capsys):
+    # replicated instances of up to 90 vertices: unbudgeted, the 3-copy
+    # alpha searches run for minutes
+    cfg_path = tmp_path / "replication.cfg"
+    cfg_path.write_text("random_count = 1\nexhaustive_n = 0\nreplication_count = 3\n"
+                        "replication_n_max = 30\nchecks = replication\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path), "--budget", "1000",
+                           "--output", str(tmp_path / "out"))
+    assert code == 0
+    assert out == (
+        "corpus: 0 exhaustive pairs, 1 random pairs\n"
+        "check replication: PASS (comparisons=38, violations=0, skipped=2)\n"
+        "  note: skipped 2/3 pairs: the alpha oracle exceeded its node budget of 1000\n"
+        "result: PASS\n"
+    )
 
 
 def test_verify_fault_injection_exits_1(tmp_path, capsys):

@@ -74,6 +74,42 @@ def test_alpha_pinned_beyond_property_sizes():
     }
 
 
+@pytest.mark.parametrize("args, k, expected", [
+    ((48, 48, 2, 110), 0, {
+        "value": 28,
+        "witness": [2, 3, 4, 6, 9, 11, 14, 16, 17, 23, 27, 28, 30, 32, 33, 34, 35, 36,
+                    37, 38, 39, 40, 41, 42, 43, 44, 47, 48],
+        "nodes": 36870,
+    }),
+    ((32, 96, 3, 201), 0, {
+        "value": 18,
+        "witness": [1, 4, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 22, 24, 25, 26, 27, 29],
+        "nodes": 49649,
+    }),
+    ((24, 72, 4, 303), 1, {
+        "value": 16,
+        "witness": [1, 3, 4, 5, 7, 9, 11, 14, 15, 16, 17, 18, 19, 20, 22, 23],
+        "nodes": 25982,
+    }),
+], ids=["s2-n48-k0", "s3-n32-k0", "s4-n24-k1"])
+def test_alpha_pinned_at_bench_scale(args, k, expected):
+    # searches of the bench's size: the s = 2 and s = 3 instances are
+    # oracle-deep base instances (unrelabelled); the whole result is output
+    res = alpha_k_exact(gen_random_uniform(*args), k)
+    assert res.to_json_dict() == {"quantity": "alpha_k", "k": k, "status": "exact",
+                                  **expected}
+    assert list(res.to_json_dict()) == ["quantity", "k", "value", "status", "witness",
+                                        "nodes"]
+
+
+def test_alpha_beyond_64_vertices():
+    h = gen_random_uniform(80, 40, 2, 1)
+    res = alpha_k_exact(h, 1)
+    assert (res.status, res.value, res.nodes) == ("exact", 70, 30124)
+    assert len(res.witness) == 70
+    assert h.is_k_independent(res.witness, 1)
+
+
 def test_alpha_budget_exceeded():
     h = gen_complete(7, 3)
     res = alpha_k_exact(h, 1, node_budget=3)
@@ -86,8 +122,9 @@ def test_alpha_budget_exceeded():
 def test_alpha_argument_guards(k4):
     with pytest.raises(ValueError):
         alpha_k_exact(k4, -1)
-    with pytest.raises(ValueError):
-        alpha_k_exact(Hypergraph(65, 2), 0)
+    # no cap on n: an edgeless 65-vertex graph is solved at the root
+    res = alpha_k_exact(Hypergraph(65, 2), 0)
+    assert (res.status, res.value, res.nodes) == ("exact", 65, 1)
     with pytest.raises(ValueError):
         alpha_k_bruteforce(Hypergraph(21, 2), 0)
 

@@ -674,7 +674,8 @@ def test_alpha_budget_trips_at_reference_node(h, k, budget):
     (gen_complete(7, 3), 1),
     (gen_random_uniform(14, 30, 3, 5), 0),
     (gen_random_uniform(12, 40, 2, 9), 1),
-], ids=["K7-3-k1", "r14-30-s3-k0", "r12-40-s2-k1"])
+    (gen_random_uniform(12, 45, 4, 7), 2),
+], ids=["K7-3-k1", "r14-30-s3-k0", "r12-40-s2-k1", "r12-45-s4-k2"])
 def test_alpha_every_budget_matches_reference(h, k):
     # cut children are charged in bulk: every budget, including one that
     # runs out inside such a group, must stop at the reference's node
@@ -682,6 +683,12 @@ def test_alpha_every_budget_matches_reference(h, k):
     for budget in range(nodes + 2):
         got = alpha_k_exact(h, k, node_budget=budget).to_json_dict()
         assert got == ref_alpha(h, k, node_budget=budget).to_json_dict(), budget
+
+
+def test_alpha_beyond_64_vertices_matches_reference():
+    # above the old n <= 64 cap, against the recount reference
+    h = gen_random_uniform(80, 40, 2, 1)
+    assert alpha_k_exact(h, 1).to_json_dict() == ref_alpha(h, 1).to_json_dict()
 
 
 @SETTINGS
