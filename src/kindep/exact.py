@@ -137,12 +137,9 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     best_mask = sum(1 << v for v in seed.survivors())
     best = seed.n_alive
     spent = 1  # the root
-    try:
-        if node_budget is not None and node_budget < spent:
-            raise _BudgetExceeded
-        if h.n > best:
-            best, best_mask, spent = _alpha_search(h, k, best, best_mask, node_budget)
-    except _BudgetExceeded:
+    if h.n > best and (node_budget is None or spent <= node_budget):
+        best, best_mask, spent = _alpha_search(h, k, best, best_mask, node_budget)
+    if node_budget is not None and spent > node_budget:
         # the count stops at the first node past the budget
         return OracleResult("alpha_k", k, None, "budget_exceeded", None,
                             max(node_budget, 0) + 1, time.perf_counter() - start)
@@ -154,23 +151,19 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
                   limit: int | None) -> tuple[int, int, int]:
     """`alpha_k_exact` below its root, from the incumbent (best,
     best_mask): returns the final incumbent and the node count, root
-    included, or raises `_BudgetExceeded` at the first node past `limit`.
-    The innermost branching frame lives in local variables and its
-    ancestors on `stack`.
+    included.  The count is checked against `limit` only as a node is
+    entered, so a search that overruns stops with a count past `limit`
+    no later than its next entered node.  The innermost branching frame
+    lives in local variables and its ancestors on `stack`.
     """
     n = h.n
-    # per vertex, in edge order: its edge masks, and (edge mask, other endpoints)
-    masks: list[list[int]] = [[] for _ in range(n)]
+    # per vertex, in edge order: (edge mask, other endpoints)
     drops: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for emask, edge in zip(h.edge_masks, h.edges):
         for i, v in enumerate(edge):
-            masks[v].append(emask)
             drops[v].append((emask, edge[:i] + edge[i + 1:]))
     key = [d * n + n - 1 - v for v, d in enumerate(h.degrees)]
     valid = (k + 1) * n  # every key is below this iff the mask is k-independent
-    # at s = 3 a drop unpacks the two other endpoints instead of looping
-    # over them: about 5% less search time on the bench's s = 3 queries
-    s3 = h.s == 3
     spent = 1  # the root, counted by the caller
     stack: list[tuple[int, int, list[int], int, int, int]] = []
     # innermost frame; these zeros stand for "no frame", and the search
@@ -189,7 +182,7 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
             # witness union: v plus its first k+1 edges inside smask
             union = 1 << v
             found = 0
-            for emask in masks[v]:
+            for emask, _ in drops[v]:
                 if emask & smask == emask:
                     union |= emask
                     found += 1
@@ -199,8 +192,6 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
             todo = union & ~required
             if size - 1 <= best:
                 spent += todo.bit_count()
-                if limit is not None and spent > limit:
-                    raise _BudgetExceeded
                 todo = 0
         if todo:
             stack.append((fmask, fsize, saved, pending, req, bit))
@@ -218,25 +209,17 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
                         break
                     # best only grows: every pending child is cut
                     spent += pending.bit_count()
-                    if limit is not None and spent > limit:
-                        raise _BudgetExceeded
                 if not stack:
                     return best, best_mask, spent
                 fmask, fsize, saved, pending, req, bit = stack.pop()
         spent += 1
         if limit is not None and spent > limit:
-            raise _BudgetExceeded
+            return best, best_mask, spent
         u = bit.bit_length() - 1
-        if s3:
-            for emask, (a, b) in drops[u]:
-                if emask & fmask == emask:
-                    key[a] -= n
-                    key[b] -= n
-        else:
-            for emask, others in drops[u]:
-                if emask & fmask == emask:
-                    for w in others:
-                        key[w] -= n
+        for emask, others in drops[u]:
+            if emask & fmask == emask:
+                for w in others:
+                    key[w] -= n
         key[u] = n - 1 - u
         smask, size, required = fmask ^ bit, fsize - 1, req
 

@@ -102,14 +102,6 @@ def test_alpha_pinned_at_bench_scale(args, k, expected):
                                         "nodes"]
 
 
-def test_alpha_beyond_64_vertices():
-    h = gen_random_uniform(80, 40, 2, 1)
-    res = alpha_k_exact(h, 1)
-    assert (res.status, res.value, res.nodes) == ("exact", 70, 30124)
-    assert len(res.witness) == 70
-    assert h.is_k_independent(res.witness, 1)
-
-
 def test_alpha_budget_exceeded():
     h = gen_complete(7, 3)
     res = alpha_k_exact(h, 1, node_budget=3)
