@@ -115,8 +115,8 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     degree 0.  A later sibling starts from its parent's snapshot
     (`key[:] = saved`, one copy per branching node).  So an entered node
     costs one mask test per edge through u and s - 1 decrements per live
-    one, one O(n) `max` for its violator, a walk of the violator's edge
-    masks for its witness union and, for a later sibling, an O(n)
+    one, one O(n) `max` for its violator, a walk of the violator's drop
+    list for its witness union and, for a later sibling, an O(n)
     restore.  A child is cut on entry when size - 1 <= best, and since
     best only grows, all of a node's remaining children are then cut:
     they are counted in `nodes` by one popcount, O(1) for the group,
