@@ -255,11 +255,15 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
     edges.  Each move strictly lowers the count of single-class edges,
     so at most e moves happen.
 
-    Each vertex's degree inside its own class is kept across moves: a
-    move costs O(c * s * deg v) to pick the target, O(s * deg v) to
-    update the degrees of the edges the mover leaves and closes, and
-    O(n) to find the next worst vertex.  One from-scratch recount after
-    convergence gives the class maxima and re-checks every class.
+    Each vertex's degree inside its own class is kept across moves.  A
+    move reads the classes of each edge through the mover once, with the
+    mover's own class masked out: an edge whose other endpoints form one
+    class t closes in t.  That groups the edges the mover would close in
+    every class, its own included, in O(s * deg v); picking the target
+    costs O(c), updating the degrees of the edges the mover leaves and
+    closes O(s * deg v), and finding the next worst vertex O(n).  One
+    from-scratch recount after convergence gives the class maxima and
+    re-checks every class.
     """
     if k < 1:
         raise ValueError(f"partitioning requires k >= 1, got {k}")
@@ -267,39 +271,43 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
     c = max(1, -(-delta // k))
     edges, incidence = h.edges, h.incidence
     assign = [v % c for v in range(h.n)]
+    class_of = assign.__getitem__
     moves = []
     hard_cap = 4 * h.e + 2 * h.n + 16
 
     def mono_degrees() -> list[int]:
         deg = [0] * h.n
         for edge in edges:
-            t = assign[edge[0]]
-            if all(assign[u] == t for u in edge[1:]):
+            if len(set(map(class_of, edge))) == 1:
                 for u in edge:
                     deg[u] += 1
         return deg
-
-    def closed_in(v: int, t: int) -> list[tuple[int, ...]]:
-        """Edges through v whose other endpoints all lie in class t."""
-        return [edges[i] for i in incidence[v] if all(assign[u] == t for u in edges[i] if u != v)]
 
     deg = mono_degrees()
     while (worst_deg := max(deg)) > k:
         worst = deg.index(worst_deg)
         if len(moves) >= hard_cap:
             raise ExtractionDefect("partition local search failed to converge")
-        options = [(len(closed_in(worst, t)), t) for t in range(c) if t != assign[worst]]
+        own = assign[worst]
+        assign[worst] = -1  # below every class, so max() reads the others
+        closing: dict[int, list[tuple[int, ...]]] = {}
+        for i in incidence[worst]:
+            edge = edges[i]
+            classes = set(map(class_of, edge))
+            if len(classes) == 2:
+                closing.setdefault(max(classes), []).append(edge)
+        options = [(len(closing.get(t, ())), t) for t in range(c) if t != own]
         best_gain, target = min(options, default=(worst_deg, -1))
         if best_gain >= worst_deg:
             # the other c-1 classes close at most delta - worst_deg
             # < (c-1)k of the worst vertex's edges, so one closes < k
             raise ExtractionDefect("partition local search found no improving move")
         moves.append(TraceStep("move", worst, worst_deg))
-        for edge in closed_in(worst, assign[worst]):
+        for edge in closing.get(own, ()):
             for u in edge:
                 deg[u] -= 1
         assign[worst] = target
-        for edge in closed_in(worst, target):
+        for edge in closing.get(target, ()):
             for u in edge:
                 deg[u] += 1
 
@@ -325,7 +333,9 @@ def _augment(h: Hypergraph, k: int, vertices: tuple[int, ...]) -> tuple[int, ...
 
     Keeps the induced degrees of the chosen set: a candidate v is
     admitted when it closes at most k edges and no endpoint of those
-    edges rises above k.  That costs O(s * deg v) per candidate and
+    edges rises above k.  As v itself is not chosen, an edge through v
+    closes when s - 1 of its endpoints are, a count `sum` takes over
+    `map` at C speed.  That costs O(s * deg v) per candidate and
     O(s * e) for the whole pass.
     """
     chosen = [False] * h.n
@@ -333,15 +343,12 @@ def _augment(h: Hypergraph, k: int, vertices: tuple[int, ...]) -> tuple[int, ...
     for v, d in h.induced_degrees(vertices).items():
         chosen[v] = True
         deg[v] = d
-    edges = h.edges
+    edges, is_chosen, others = h.edges, chosen.__getitem__, h.s - 1
     for v in range(h.n):
         if chosen[v]:
             continue
-        closed = []
-        for i in h.incidence[v]:
-            edge = edges[i]
-            if all(chosen[u] for u in edge if u != v):
-                closed.append(edge)
+        closed = [edge for edge in map(edges.__getitem__, h.incidence[v])
+                  if sum(map(is_chosen, edge)) == others]
         if len(closed) > k:
             continue
         for edge in closed:

@@ -8,11 +8,20 @@ reduce them by rejection sampling, pick m distinct subset *ranks* with
 Floyd's algorithm, and unrank each into an s-subset in lexicographic
 (combinatorial number system) order.  Every step is integer arithmetic
 on a fixed word stream.
+
+Unranking costs s - 1 binary searches per edge over the columns
+C(j, t), j = 0..n, for t = s..2.  When the (s - 1)(n + 1) column entries
+cost no more than the m * bit_length(n) lookups the searches make, the
+columns are tabulated once per call and each search is one C-level
+`bisect`; otherwise each lookup is one `comb` call, so a very sparse
+draw on a huge vertex set builds no O(n) table.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import combinations, repeat
 from math import comb
 
 import numpy as np
@@ -56,37 +65,63 @@ class WordStream:
                 return value % bound
 
 
-def _unrank_subset(rank: int, n: int, s: int) -> tuple[int, ...]:
-    """The `rank`-th s-subset of {0..n-1} in lexicographic order.
+class _CombColumn:
+    """C(j, t) for j = 0..n, computed on demand: a sequence that `bisect`
+    can search without an O(n) table."""
 
-    With the first free id at x, the C(n-x, slot) subsets left split
-    into blocks by first element y, and the blocks for y' > y hold
-    C(n-y-1, slot) subsets in all.  So the rank falls in the block of
-    the least y with C(n-y-1, slot) < C(n-x, slot) - rank, which a
-    binary search over y finds with O(log n) `comb` calls per slot.
-    For the last slot every block holds one subset, so y = x + rank.
+    __slots__ = ("_n", "_t")
+
+    def __init__(self, n: int, t: int) -> None:
+        self._n, self._t = n, t
+
+    def __len__(self) -> int:
+        return self._n + 1
+
+    def __getitem__(self, j: int) -> int:
+        return comb(j, self._t)
+
+
+def _tabulates(n: int, m: int, s: int) -> bool:
+    """Whether unranking m subsets tabulates its comb columns: when the
+    (s - 1)(n + 1) entries cost no more than the m * bit_length(n)
+    lookups of the binary searches."""
+    return (s - 1) * (n + 1) <= m * n.bit_length()
+
+
+def _unrank_subsets(ranks: Sequence[int], n: int, s: int) -> list[tuple[int, ...]]:
+    """The s-subsets of {0..n-1} at the given lexicographic ranks.
+
+    The subset of rank r, mirrored by v -> n-1-v, has colex rank
+    R = C(n, s) - 1 - r, which the combinatorial number system writes
+    as C(d_1, s) + C(d_2, s-1) + ... + C(d_s, 1) with d_1 > ... > d_s.
+    Each d_i is the largest j with C(j, t) <= R at slot t, which
+    `bisect_right` finds in the column C(j, t), j = 0..n; the previous
+    slot's d bounds the search, and at t = 1 the rest of R is d_s.
+    See `_tabulates` for when the columns are lists.
     """
+    if _tabulates(n, len(ranks), s):
+        cols = [list(map(comb, range(n + 1), repeat(t))) for t in range(s, 1, -1)]
+    else:
+        cols = [_CombColumn(n, t) for t in range(s, 1, -1)]
+    top = comb(n, s) - 1
+    last = n - 1
     out = []
-    x = 0
-    for slot in range(s, 1, -1):
-        above = comb(n - x, slot) - rank  # subsets at or after the rank
-        lo, hi = x, n - slot
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if comb(n - mid - 1, slot) < above:
-                hi = mid
-            else:
-                lo = mid + 1
-        rank = comb(n - lo, slot) - above
-        out.append(lo)
-        x = lo + 1
-    out.append(x + rank)
-    return tuple(out)
+    for r in ranks:
+        rest = top - r
+        j = n + 1
+        edge = []
+        for col in cols:
+            j = bisect_right(col, rest, 0, j) - 1
+            rest -= col[j]
+            edge.append(last - j)
+        edge.append(last - rest)
+        out.append(tuple(edge))
+    return out
 
 
 def gen_complete(n: int, s: int) -> Hypergraph:
     """Complete s-uniform hypergraph: all C(n, s) subsets as edges, in the
-    lexicographic order `_unrank_subset` numbers them by."""
+    lexicographic order `_unrank_subsets` numbers them by."""
     if s > n:
         raise HypergraphError(f"uniformity {s} exceeds vertex count {n}")
     return Hypergraph(n, s, tuple(combinations(range(n), s)))
@@ -110,5 +145,4 @@ def gen_random_uniform(n: int, m: int, s: int, seed: int) -> Hypergraph:
     for j in range(total - m, total):
         r = stream.randbelow(j + 1)
         chosen.add(r if r not in chosen else j)
-    edges = tuple(_unrank_subset(r, n, s) for r in sorted(chosen))
-    return Hypergraph(n, s, edges)
+    return Hypergraph(n, s, tuple(_unrank_subsets(sorted(chosen), n, s)))

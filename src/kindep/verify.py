@@ -172,6 +172,9 @@ def _validate_config(cfg: VerifyConfig) -> None:
             raise ConfigError("random_k must list k values >= 0")
         if cfg.random_m_max_factor < 0:
             raise ConfigError("random_m_max_factor must be nonnegative")
+    for key in sorted(_BUDGET_KEYS):
+        if (getattr(cfg, key) or 0) < 0:
+            raise ConfigError(f"{key} must be nonnegative (0 = unlimited)")
     if cfg.replication_count and cfg.replication_n_max < 4:
         raise ConfigError("replication_n_max must be at least 4")
     for name in cfg.checks:

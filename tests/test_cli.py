@@ -319,6 +319,16 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_negative_config_budget_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "negative.cfg"
+    cfg_path.write_text("exhaustive_n = 0\nrandom_count = 3\nalpha_budget = -5\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_path))
+    assert code == 2
+    assert out == ""
+    assert "alpha_budget must be nonnegative" in err
+
+
 def test_compare_csv(k4_file, capsys):
     code, out, _ = run_cli(capsys, "compare", k4_file, "-k", "0,2")
     assert code == 0

@@ -1,6 +1,9 @@
 """Extraction engines: frozen small cases, guarantee sweeps, trace
-replay, and the re-verification safety net."""
+replay, the re-verification safety net, and sets and traces pinned at
+the scale of the benchmark's large files."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -240,3 +243,32 @@ def test_band_peel_deep_band_regression():
     res = band_peel(h, 0, probe=probe)
     assert len(probe) == 149
     assert res.size == 35
+
+
+# sha256 of json.dumps(to_json_dict(), sort_keys=True) on instances of the
+# benchmark's large-file shapes at seed 7: (n, m, s, k) -> algorithm -> digest
+AT_SCALE_DIGESTS = {
+    (2000, 20000, 3, 1): {
+        best_extract: "26fb804d326b0a7160b1b75458861f17109938b43ac4be25065e5521fa20b298",
+        band_peel: "880aed56fbcebc29c4bb95a08d90cb8fcae63f17ed137b7e453827d7d9c79bf0",
+        partition_extract: "e4003253c2adf14480b3cbefffd3649321d14cc27f11e7cc9476f6276c1f46c6",
+    },
+    (4000, 4000, 2, 0): {
+        best_extract: "b3d3cfcc2a5cf62957e0f82cdb2e80e0a71b559da7d82ced143e9fd62aa72270",
+        band_peel: "d3a19b16f8b18f056d28d783845f0c962bd740c2ad26595140f244038c70674c",
+    },
+    # the dense shape converges from the round-robin start; this one takes
+    # 63 local-search moves
+    (2000, 4000, 2, 1): {
+        partition_extract: "4d08918801eae3dbc4b8449911bc495e9bd967f0698a974c960d89c9e65bc3d8",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", list(AT_SCALE_DIGESTS))
+def test_extractors_pinned_at_scale(shape):
+    n, m, s, k = shape
+    h = gen_random_uniform(n, m, s, 7)
+    for algo, digest in AT_SCALE_DIGESTS[shape].items():
+        text = json.dumps(algo(h, k).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, algo.__name__

@@ -18,6 +18,7 @@ runs derandomized, so every run draws the same cases.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -57,7 +58,7 @@ from kindep import (
 from kindep.bounds import _ordinary_products
 from kindep.exact import OracleResult
 from kindep.extract import _augment, _PeelState
-from kindep.generators import _unrank_subset
+from kindep.generators import _tabulates, _unrank_subsets
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -517,8 +518,26 @@ def test_unrank_matches_linear_walk(data, s):
     n = data.draw(st.integers(s, 4000))
     total = comb(n, s)
     rank = data.draw(st.integers(0, total - 1))
-    for r in (0, rank, total - 1):
-        assert _unrank_subset(r, n, s) == walk_unrank(r, n, s)
+    ranks = [0, rank, total - 1]
+    assert _unrank_subsets(ranks, n, s) == [walk_unrank(r, n, s) for r in ranks]
+
+
+@pytest.mark.parametrize("n, s", [(4000, 2), (1000, 3), (300, 4), (60, 5)])
+def test_unrank_tabulated_matches_linear_walk(n, s):
+    # the fewest ranks that tabulate the columns, both ends included
+    m = next(m for m in range(1, n) if _tabulates(n, m, s))
+    total = comb(n, s)
+    ranks = sorted({0, total - 1, *random.Random(n).sample(range(1, total - 1), m)})
+    assert _tabulates(n, len(ranks), s)
+    assert _unrank_subsets(ranks, n, s) == [walk_unrank(r, n, s) for r in ranks]
+
+
+@pytest.mark.parametrize("n, s", [(10**5, 2), (10**5, 3), (20000, 4)])
+def test_unrank_lazy_matches_linear_walk_at_large_n(n, s):
+    total = comb(n, s)
+    ranks = sorted({0, total - 1, *random.Random(n + s).sample(range(1, total - 1), 3)})
+    assert not _tabulates(n, len(ranks), s)
+    assert _unrank_subsets(ranks, n, s) == [walk_unrank(r, n, s) for r in ranks]
 
 
 

@@ -72,6 +72,8 @@ def test_config_overrides_and_comments():
         ("random_s = 1,2\n", ">= 2"),
         ("replication_n_max = 3\n", "at least 4"),
         ("fault_injection = scramble\n", "fault_injection"),
+        ("alpha_budget = -5\n", "alpha_budget must be nonnegative"),
+        ("chi_budget = -1\n", "chi_budget must be nonnegative"),
     ],
 )
 def test_config_rejections(text, fragment):
