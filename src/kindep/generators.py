@@ -9,12 +9,13 @@ Floyd's algorithm, and unrank each into an s-subset in lexicographic
 (combinatorial number system) order.  Every step is integer arithmetic
 on a fixed word stream.
 
-Unranking costs s - 1 binary searches per edge over the columns
-C(j, t), j = 0..n, for t = s..2.  When the (s - 1)(n + 1) column entries
-cost no more than the m * bit_length(n) lookups the searches make, the
-columns are tabulated once per call and each search is one C-level
-`bisect`; otherwise each lookup is one `comb` call, so a very sparse
-draw on a huge vertex set builds no O(n) table.
+Unranking an edge takes s - 1 binary searches over the columns
+C(j, t), j = 0..n, t = s..2, of about bit_length(n) lookups each.  When
+the (s - 1)(n + 1) column entries cost no more than the m * bit_length(n)
+lookups of all m edges, the columns are tabulated once per call and a
+lookup is a list read inside a C-level `bisect`; otherwise it is one
+`comb` call, so a very sparse draw on a huge vertex set builds no O(n)
+table.  The edges are the same either way.
 """
 
 from __future__ import annotations
@@ -66,16 +67,14 @@ class WordStream:
 
 
 class _CombColumn:
-    """C(j, t) for j = 0..n, computed on demand: a sequence that `bisect`
-    can search without an O(n) table."""
+    """The column C(j, t), each entry computed when it is read: what
+    `bisect` searches, within the bounds it is given, when no table is
+    built."""
 
-    __slots__ = ("_n", "_t")
+    __slots__ = ("_t",)
 
-    def __init__(self, n: int, t: int) -> None:
-        self._n, self._t = n, t
-
-    def __len__(self) -> int:
-        return self._n + 1
+    def __init__(self, t: int) -> None:
+        self._t = t
 
     def __getitem__(self, j: int) -> int:
         return comb(j, self._t)
@@ -102,7 +101,7 @@ def _unrank_subsets(ranks: Sequence[int], n: int, s: int) -> list[tuple[int, ...
     if _tabulates(n, len(ranks), s):
         cols = [list(map(comb, range(n + 1), repeat(t))) for t in range(s, 1, -1)]
     else:
-        cols = [_CombColumn(n, t) for t in range(s, 1, -1)]
+        cols = [_CombColumn(t) for t in range(s, 1, -1)]
     top = comb(n, s) - 1
     last = n - 1
     out = []

@@ -9,6 +9,7 @@ text, so a change to the word stream or the unranking fails here.
 """
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -86,6 +87,7 @@ def test_table_rule():
     # (s - 1)(n + 1) column entries against m * bit_length(n) lookups
     assert _tabulates(2000, 20000, 3)
     assert _tabulates(4000, 334, 2) and not _tabulates(4000, 333, 2)
+    assert _tabulates(11, 3, 2) and not _tabulates(12, 3, 2)  # 12 <= 3 * 4 < 13
     assert not _tabulates(10**6, 10, 3)
 
 
@@ -114,9 +116,16 @@ def test_random_uniform_pinned_at_scale(n, m, s):
 
 
 def test_random_uniform_sparse_draw_builds_no_table():
-    # C(10^6, 3) ranks, ten drawn: the columns stay lazy
+    # C(10^6, 3) ranks, ten drawn: the columns stay lazy, where two
+    # tabulated columns would hold 2 * 10^6 ints (tens of MB)
     assert not _tabulates(10**6, 10, 3)
-    h = gen_random_uniform(10**6, 10, 3, 2)
+    tracemalloc.start()
+    try:
+        h = gen_random_uniform(10**6, 10, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert (h.n, h.e) == (10**6, 10)
     assert all(a < b < c for a, b, c in h.edges)
 
