@@ -19,6 +19,8 @@ from kindep.bounds import BoundReport, bound_report
 from kindep.exact import alpha_k_exact, chi_k_exact
 from kindep.extract import (
     ExtractionDefect,
+    _best_of,
+    _contenders,
     band_peel,
     best_extract,
     greedy_peel,
@@ -190,10 +192,11 @@ def _csv_row_for(label: str, h: Hypergraph, k: int, budget: int | None) -> list[
     row.append(str(report.best_lower_bound))
     oracle = alpha_k_exact(h, k, budget)
     row.append("" if oracle.value is None else str(oracle.value))
-    row.append(str(greedy_peel(h, k).size))
-    row.append(str(band_peel(h, k).size))
-    row.append(str(partition_extract(h, k).size) if k >= 1 else "")
-    row.append(str(best_extract(h, k).size))
+    contenders = _contenders(h, k)
+    row.extend(str(res.size) for res in contenders)
+    if k < 1:
+        row.append("")  # partition needs k >= 1
+    row.append(str(_best_of(h, k, contenders).size))
     return row
 
 
@@ -286,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification corpus")
     p_verify.add_argument("--config", help="key=value config file (default built in)")
     p_verify.add_argument("--seed", type=_nonneg, help="override the master seed")
-    common(p_verify, budget=True)
+    p_verify.add_argument("--output", help="directory for counterexample dumps (default: "
+                                           "the config's output_dir); the report goes to stdout")
+    p_verify.add_argument("--budget", type=_nonneg,
+                          help="node budget of both the alpha and the chi oracle, "
+                               "overriding the config's; 0 = unlimited")
     p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare", help="CSV of bounds vs exact values")

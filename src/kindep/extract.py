@@ -370,8 +370,20 @@ def best_extract(h: Hypergraph, k: int) -> ExtractionResult:
     and keeps those that preserve k-independence, so no single vertex
     can extend the returned set; see `_augment` for its O(s * e) cost.
     """
+    return _best_of(h, k, _contenders(h, k))
+
+
+def _contenders(h: Hypergraph, k: int) -> list[ExtractionResult]:
+    """Greedy, band and (k >= 1) partition on (h, k), in the order
+    `_best_of` breaks ties by."""
     contenders = [greedy_peel(h, k), band_peel(h, k)]
     if k >= 1:
         contenders.append(partition_extract(h, k))
+    return contenders
+
+
+def _best_of(h: Hypergraph, k: int, contenders: list[ExtractionResult]) -> ExtractionResult:
+    """`best_extract` from the `_contenders(h, k)` a caller already holds:
+    the first of the largest, augmented."""
     winner = max(contenders, key=lambda res: res.size)
     return _finalize(h, k, "best_extract", _augment(h, k, winner.vertices), winner.trace)

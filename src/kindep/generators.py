@@ -29,6 +29,8 @@ import numpy as np
 
 from kindep.hypergraph import Hypergraph, HypergraphError
 
+_WORD = 1 << 64
+
 
 class WordStream:
     """Buffered 64-bit words from a seeded PCG64 bit generator."""
@@ -49,11 +51,21 @@ class WordStream:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection on the top of a
-        power-of-two range; unbiased and stream-deterministic."""
+        power-of-two range; unbiased and stream-deterministic.
+
+        A bound below 2^64 draws one word per try against the cutoff
+        2^64 - 2^64 % bound; a larger bound (2^64 itself included, whose
+        bit length is 65) draws enough words for its bit length."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         if bound == 1:
             return 0
+        if bound < _WORD:
+            cutoff = _WORD - _WORD % bound
+            while True:
+                value = self.next_word()
+                if value < cutoff:
+                    return value % bound
         span = bound.bit_length()
         words_needed = (span + 63) // 64
         limit = 1 << (64 * words_needed)

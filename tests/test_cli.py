@@ -4,6 +4,7 @@ Everything goes through main(argv) for speed; one subprocess test
 confirms the installed entry point wires up to the same main.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -309,6 +310,52 @@ def test_verify_budget_zero_lifts_config_budgets(tmp_path, capsys):
     assert code == 0
     assert "skipped=" not in out
     assert out.endswith("result: PASS\n")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Recorded before verify shared one bound report per degree signature and
+# compare reused its contenders for best_size: both must stay byte-identical.
+@pytest.mark.parametrize("seed, exit_code, report_digest, dump_digests", [
+    (1729, 0, "53ec70ddbb92fe0c6d50114b0cbac4541a300eb1fd02c4888cef00b90dd7f611", {}),
+    (5, 1, "6b3f59b48b752cb023f37a5030b32d09b49170bdadc444f4c89ae1e95fca429d", {
+        "extraction-achievement_r388.hg":
+            "27013130960365ef159432a4d325caa29a29d2fc1000508a2a1b2fea1a6c4c71",
+        "extraction-achievement_r388.json":
+            "a630662043e766f5ac5291b0a76be2919360e87b252a2b332b8c12d4f2c144eb",
+    }),
+], ids=["seed1729-pass", "seed5-fail"])
+def test_default_verify_report_pinned(tmp_path, capsys, seed, exit_code, report_digest,
+                                      dump_digests):
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "verify", "--seed", str(seed), "--output", str(out_dir))
+    assert code == exit_code
+    assert out.endswith("result: PASS\n" if exit_code == 0 else "result: FAIL\n")
+    assert sha256(out.encode()) == report_digest
+    written = sorted(out_dir.iterdir()) if out_dir.exists() else []
+    assert {p.name: sha256(p.read_bytes()) for p in written} == dump_digests
+
+
+def test_compare_config_csv_pinned(tmp_path, capsys):
+    cfg_path = tmp_path / "compare.cfg"
+    cfg_path.write_text("exhaustive_n = 4\nrandom_count = 150\nmaster_seed = 3\n")
+    code, out, _ = run_cli(capsys, "compare", "--config", str(cfg_path))
+    assert code == 0
+    assert len(out.splitlines()) == 661
+    assert sha256(out.encode()) == (
+        "06d0728ebb31eb57f0e169219e4b4f8ee40c95af7fa9aca8570329809407f5ac")
+
+
+def test_verify_help_names_dump_directory_and_both_budgets(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "directory for counterexample dumps" in text
+    assert "the report goes to stdout" in text
+    assert "both the alpha and the chi oracle" in text
+    assert "write output to this path" not in text
 
 
 def test_verify_bad_config_exits_2(tmp_path, capsys):

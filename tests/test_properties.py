@@ -5,7 +5,8 @@ The references are the straightforward versions: a peel that finds each
 victim by an O(n) scan, a band recursion over induced copies, a
 partition search that recounts every class degree per move, an
 augmentation that re-checks the whole set with `is_k_independent`, an
-unranker that walks the first element up one id at a time, exact
+unranker that walks the first element up one id at a time, a rejection
+sampler that draws every bound's words in the multi-word loop, exact
 oracles that recount every induced degree at every search node and
 recurse once per assigned vertex, a brute-force alpha that
 sweeps every mask in ascending order, a .hg parser that sorts every edge
@@ -57,8 +58,9 @@ from kindep import (
 )
 from kindep.bounds import _ordinary_products
 from kindep.exact import OracleResult
-from kindep.extract import _augment, _PeelState
-from kindep.generators import _tabulates, _unrank_subsets
+from kindep.extract import _augment, _best_of, _PeelState
+from kindep.generators import WordStream, _tabulates, _unrank_subsets
+from kindep.verify import CorpusInstance, _RunCache
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -356,6 +358,16 @@ def test_best_extract_size_between_every_extractor_and_alpha(h, k):
     assert best <= alpha_k_exact(h, k).value
 
 
+@SETTINGS
+@given(hypergraphs(), st.integers(0, 3))
+def test_best_of_held_contenders_matches_best_extract(h, k):
+    # compare's CSV row builds best_size from the contenders it printed
+    contenders = [greedy_peel(h, k), band_peel(h, k)]
+    if k >= 1:
+        contenders.append(partition_extract(h, k))
+    assert _best_of(h, k, contenders).to_json_dict() == best_extract(h, k).to_json_dict()
+
+
 # -- reference degree-sequence bounds: one weight per vertex -----------------
 
 def ref_product(i, s):
@@ -394,6 +406,39 @@ def test_bounds_scale_with_replication(h, k, copies):
             assert r.applicable == b.applicable
     if h.s >= 3:
         assert cps_per_vertex(h.replicate(copies)) == cps_per_vertex(h)
+
+
+def relabelled(h, perm):
+    return Hypergraph(h.n, h.s, tuple(tuple(perm[v] for v in e) for e in h.edges))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(hypergraphs(n_max=10), st.integers(0, 3)), min_size=1, max_size=6),
+       st.data())
+def test_run_cache_report_matches_fresh_report(pairs, data):
+    instances = []
+    for i, (h, k) in enumerate(pairs):
+        perm = data.draw(st.permutations(range(h.n)))
+        instances.append(CorpusInstance(f"a{i}", h, k, "drawn"))
+        instances.append(CorpusInstance(f"b{i}", relabelled(h, perm), k, "drawn"))
+    order = data.draw(st.permutations(instances))
+    cache = _RunCache(None)
+    for inst in order + order[::-1]:
+        fresh = bound_report(inst.h, inst.k)
+        cached = cache.report(inst)
+        assert cached == fresh
+        assert cached.to_json_dict() == fresh.to_json_dict()
+    # each relabelled copy shares its original's report
+    assert len(cache._reports) <= len(pairs)
+
+
+def test_run_cache_report_keys_on_the_whole_histogram():
+    # equal n, s, e and delta; degree histograms {2: 3, 0: 2} and {1: 4, 2: 1}
+    triangle = Hypergraph(5, 2, ((0, 1), (0, 2), (1, 2)))
+    path = Hypergraph(5, 2, ((0, 1), (1, 2), (3, 4)))
+    cache = _RunCache(None)
+    for uid, h in (("t", triangle), ("p", path)):
+        assert cache.report(CorpusInstance(uid, h, 0, "fixed")) == bound_report(h, 0)
 
 
 # -- reference bound evaluation: a Fraction at every step -------------------
@@ -553,6 +598,45 @@ def test_unrank_lazy_matches_linear_walk_at_large_n(n, s):
     ranks = sorted({0, total - 1, *random.Random(n + s).sample(range(1, total - 1), 3)})
     assert not _tabulates(n, len(ranks), s)
     assert _unrank_subsets(ranks, n, s) == [walk_unrank(r, n, s) for r in ranks]
+
+
+# -- reference rejection sampling: the multi-word loop for every bound -------
+
+def ref_randbelow(stream, bound):
+    if bound == 1:
+        return 0
+    words = (bound.bit_length() + 63) // 64
+    limit = 1 << (64 * words)
+    cutoff = limit - limit % bound
+    while True:
+        value = 0
+        for _ in range(words):
+            value = (value << 64) | stream.next_word()
+        if value < cutoff:
+            return value % bound
+
+
+def assert_randbelow_matches_reference(seed, bounds):
+    fast, ref = WordStream(seed), WordStream(seed)
+    for bound in bounds:
+        assert fast.randbelow(bound) == ref_randbelow(ref, bound), bound
+    # both consumed the same words
+    assert fast.next_word() == ref.next_word()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+                                   2**130 + 7])
+def test_randbelow_matches_multiword_reference(bound):
+    # 2^63 + 1 rejects almost half its words; 2^64 takes two words a try
+    assert_randbelow_matches_reference(bound % 1000, [bound] * 200)
+
+
+@SETTINGS
+@given(st.integers(0, 2**64),
+       st.lists(st.one_of(st.integers(1, 2**16), st.integers(1, 2**64 + 2),
+                          st.integers(1, 2**200)), min_size=1, max_size=40))
+def test_randbelow_matches_multiword_reference_at_drawn_bounds(seed, bounds):
+    assert_randbelow_matches_reference(seed, bounds)
 
 
 
