@@ -339,15 +339,15 @@ class _RunCache:
     Alpha is keyed by uid.  Under a node budget its status depends on the
     vertex labelling, so isomorphic pairs must not share it.  Only the
     value is kept, None where the search overran the budget: the checks
-    read nothing else, and the whole results of 4,596 pairs would hold
-    every witness for the run.
+    read nothing else, and whole results would hold every pair's witness
+    for the run.
 
     The report is keyed by (n, s, k, sorted degree histogram), because
     `bound_report` reads nothing else of the hypergraph: e, delta and d
     follow from the histogram, and cps sums over its sorted items.  A hit
     is therefore the report a fresh call would build, the cps float
-    included.  The default corpus's 4,596 pairs have far fewer keys: its
-    4,096 exhaustive pairs share 124.
+    included.  The default corpus's 4,596 pairs have 620 keys; its 4,096
+    exhaustive pairs have 124.
     """
 
     def __init__(self, budget: int | None) -> None:
