@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
 
 from kindep.bounds import BoundReport, bound_report
 from kindep.exact import alpha_k_exact, chi_k_exact

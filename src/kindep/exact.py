@@ -6,11 +6,12 @@ containment is a mask-subset test, so the searches stay cheap enough to
 run over whole corpora.  Both searches update degrees incrementally
 from per-vertex edge lists instead of recounting O(e + n) per node, and
 both keep their path on an explicit stack, so depth is not bounded by
-the interpreter's recursion limit.  An alpha node costs one mask test
-per edge through its dropped vertex and s - 1 decrements per live one,
-an O(n) `max` for its violator and an O(n) degree restore for each
-later sibling; children cut on entry still count in `nodes` but cost
-O(1) as a group.  On a graph (s = 2) a chi node costs three mask
+the interpreter's recursion limit.  The alpha search packs every
+induced degree into one int, so an alpha node costs one mask test per
+edge through its dropped vertex and one big-int subtraction per live
+one, one subtraction and mask per degree level it tries for its
+violator, and O(1) to snapshot or restore the degrees; children cut on
+entry still count in `nodes` but cost O(1) as a group.  On a graph (s = 2) a chi node costs three mask
 operations per class tried and O(k) for the class it accepts; for
 s >= 3 it costs O(s * deg v) per class tried.  The node count is part
 of every result, so the search tree itself is fixed output: a pruning
@@ -106,25 +107,29 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     space.  Nodes with no more candidates than the incumbent are cut.
     Masks are Python ints, so n has no cap.
 
-    Each vertex v has the key deg(v) * n + (n - 1 - v), where deg(v) is
-    its induced degree in the current candidate mask (0 outside it), so
-    the largest key is the worst violator: highest degree, then lowest
-    id.  A child drops its vertex u through u's list of (edge mask,
-    other endpoints): only the edges still inside the parent's mask
-    lower the keys of their other endpoints by n, and u's key drops to
-    degree 0.  A later sibling starts from its parent's snapshot
-    (`key[:] = saved`, one copy per branching node).  So an entered node
-    costs one mask test per edge through u and s - 1 decrements per live
-    one, one O(n) `max` for its violator, a walk of the violator's drop
-    list for its witness union and, for a later sibling, an O(n)
-    restore.  A child is cut on entry when size - 1 <= best, and since
-    best only grows, all of a node's remaining children are then cut:
-    they are counted in `nodes` by one popcount, O(1) for the group,
-    without being entered.
+    The induced degrees in the current candidate mask (0 outside it)
+    live in one int, `packed`: vertex v's field is bits [v*b, (v+1)*b)
+    with b = max_degree.bit_length() + 1, and holds deg(v) plus a guard
+    bit at its top.  Subtracting t from every field borrows from no
+    field, so the guard bits left set mark the vertices of degree >= t.
+    The violator search tries t from the parent's maximum degree down
+    (dropping a vertex only lowers degrees) and stops at the first t
+    with a mark; the lowest mark is the worst violator: highest degree,
+    then lowest id.  A child drops its vertex u through u's list of
+    (edge mask, one unit at every endpoint): each edge still inside the
+    parent's mask takes one from each of its endpoints' fields, so u's
+    own field falls to 0 with the rest.  Snapshot and restore are int
+    assignments.  So an entered node costs one mask test per edge
+    through u and one big-int subtraction per live one, one subtraction
+    and mask per degree level tried, and a walk of the violator's drop
+    list for its witness union.  A child is cut on entry when
+    size - 1 <= best, and since best only grows, all of a node's
+    remaining children are then cut: they are counted in `nodes` by one
+    popcount, O(1) for the group, without being entered.
 
     The path from the root is an explicit stack of branching frames
-    (candidate mask, size, saved keys, pending children, required
-    mask, current child), so a deep search is bounded by memory, not by
+    (candidate mask, size, saved degrees, pending children, required
+    mask, current child, maximum degree), so a deep search is bounded by memory, not by
     the interpreter's recursion limit.  The per-vertex lists are built
     only when the greedy seed leaves the root something to search.
     """
@@ -157,28 +162,44 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
     lives in local variables and its ancestors on `stack`.
     """
     n = h.n
-    # per vertex, in edge order: (edge mask, other endpoints)
-    drops: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    top = max(h.degrees)
+    # field v of `packed` is bits [v*width, (v+1)*width): guard + deg(v)
+    width = top.bit_length() + 1
+    unit = [1 << v * width for v in range(n)]
+    # per vertex, in edge order: (edge mask, one unit at every endpoint)
+    drops: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for emask, edge in zip(h.edge_masks, h.edges):
-        for i, v in enumerate(edge):
-            drops[v].append((emask, edge[:i] + edge[i + 1:]))
-    key = [d * n + n - 1 - v for v, d in enumerate(h.degrees)]
-    valid = (k + 1) * n  # every key is below this iff the mask is k-independent
+        edec = sum(map(unit.__getitem__, edge))
+        for v in edge:
+            drops[v].append((emask, edec))
+    ones = sum(unit)
+    guards = ones << width - 1
+    # floor[t] & guards == 0, and packed - floor[t] keeps field v's guard
+    # iff deg(v) >= t: no field borrows, since t <= top < guard
+    floor = [t * ones for t in range(top + 1)]
+    packed = guards + sum(d * unit[v] for v, d in enumerate(h.degrees))
     spent = 1  # the root, counted by the caller
-    stack: list[tuple[int, int, list[int], int, int, int]] = []
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
     # innermost frame; these zeros stand for "no frame", and the search
-    # ends when it would resume them
-    fmask = fsize = pending = req = bit = 0
-    saved: list[int] = []
+    # ends when it would resume them.  ftop is the frame's maximum
+    # degree, an upper bound for each child's (the root's own here)
+    fmask = fsize = saved = pending = req = bit = 0
+    ftop = top
     smask, size, required = (1 << n) - 1, n, 0
     while True:
-        # entered: size > best and key holds smask's keys
-        top = max(key)
-        if top < valid:
+        # entered: size > best and packed holds smask's degrees
+        top = ftop
+        while top > k:
+            over = (packed - floor[top]) & guards
+            if over:
+                break
+            top -= 1
+        if top <= k:
             best, best_mask = size, smask
             todo = 0
         else:
-            v = n - 1 - top % n
+            # the worst violator: highest degree, then lowest id
+            v = (over & -over).bit_length() // width - 1
             # witness union: v plus its first k+1 edges inside smask
             union = 1 << v
             found = 0
@@ -194,8 +215,8 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
                 spent += todo.bit_count()
                 todo = 0
         if todo:
-            stack.append((fmask, fsize, saved, pending, req, bit))
-            fmask, fsize, saved, pending, req = smask, size, key[:], todo, required
+            stack.append((fmask, fsize, saved, pending, req, bit, ftop))
+            fmask, fsize, saved, pending, req, ftop = smask, size, packed, todo, required, top
             bit = todo & 1 << v or todo & -todo
         else:
             # back up to the innermost frame with a child left to enter
@@ -203,7 +224,7 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
                 pending ^= bit
                 if pending:
                     if fsize - 1 > best:
-                        key[:] = saved
+                        packed = saved
                         req |= bit
                         bit = pending & -pending
                         break
@@ -211,16 +232,14 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
                     spent += pending.bit_count()
                 if not stack:
                     return best, best_mask, spent
-                fmask, fsize, saved, pending, req, bit = stack.pop()
+                fmask, fsize, saved, pending, req, bit, ftop = stack.pop()
         spent += 1
         if limit is not None and spent > limit:
             return best, best_mask, spent
-        u = bit.bit_length() - 1
-        for emask, others in drops[u]:
+        # u's live edges take every endpoint down by one, u's own field to 0
+        for emask, edec in drops[bit.bit_length() - 1]:
             if emask & fmask == emask:
-                for w in others:
-                    key[w] -= n
-        key[u] = n - 1 - u
+                packed -= edec
         smask, size, required = fmask ^ bit, fsize - 1, req
 
 

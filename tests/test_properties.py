@@ -803,6 +803,39 @@ def test_alpha_every_budget_matches_reference(h, k):
         assert got == ref_alpha(h, k, node_budget=budget).to_json_dict(), budget
 
 
+def hub_with_leaf_edges(leaves, extra, seed):
+    # vertex 0 joined to every leaf, plus `extra` random edges among the leaves
+    rng = random.Random(seed)
+    edges = {(0, v) for v in range(1, leaves + 1)}
+    while len(edges) < leaves + extra:
+        edges.add(tuple(sorted(rng.sample(range(1, leaves + 1), 2))))
+    return Hypergraph(leaves + 1, 2, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("extra, k", [(6, 0), (20, 1), (48, 2)])
+def test_alpha_degree_fields_wider_than_a_byte_every_budget(extra, k):
+    # the hub's degree 130 needs a packed field of nine bits
+    h = hub_with_leaf_edges(130, extra, 0)
+    assert max(h.degrees) >= 128
+    nodes = ref_alpha(h, k).nodes
+    assert nodes > 50
+    for budget in range(nodes + 2):
+        got = alpha_k_exact(h, k, node_budget=budget).to_json_dict()
+        assert got == ref_alpha(h, k, node_budget=budget).to_json_dict(), budget
+
+
+def test_alpha_drop_lowering_max_degree_by_more_than_one_every_budget():
+    # in K8^(3) every degree is 21 and one drop takes the others to 15, so
+    # a child's violator search starts six levels above its maximum
+    h = gen_complete(8, 3)
+    assert set(h.degrees) == {21}
+    assert set(h.induced([1, 2, 3, 4, 5, 6, 7]).degrees) == {15}
+    nodes = ref_alpha(h, 1).nodes
+    for budget in range(nodes + 2):
+        got = alpha_k_exact(h, 1, node_budget=budget).to_json_dict()
+        assert got == ref_alpha(h, 1, node_budget=budget).to_json_dict(), budget
+
+
 def test_alpha_beyond_64_vertices_matches_reference():
     # above the old n <= 64 cap, against the recount reference
     h = gen_random_uniform(80, 40, 2, 1)
