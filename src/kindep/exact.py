@@ -11,11 +11,12 @@ induced degree into one int, so an alpha node costs one mask test per
 edge through its dropped vertex and one big-int subtraction per live
 one, one subtraction and mask per degree level it tries for its
 violator, and O(1) to snapshot or restore the degrees; children cut on
-entry still count in `nodes` but cost O(1) as a group.  On a graph (s = 2) a chi node costs three mask
-operations per class tried and O(k) for the class it accepts; for
-s >= 3 it costs O(s * deg v) per class tried.  The node count is part
-of every result, so the search tree itself is fixed output: a pruning
-rule that cuts it changes the printed bytes.
+entry still count in `nodes` but cost O(1) as a group.  On a graph
+(s = 2) a chi node costs three mask operations per class tried and
+O(k) for the class it accepts; for s >= 3 it costs O(s * deg v) per
+class tried.  The node count is part of every result, so the search
+tree itself is fixed output: a pruning rule that cuts it changes the
+printed bytes.
 
 A node budget turns an over-large call into an explicit
 "budget_exceeded" result; the oracle never returns an approximation.
@@ -129,8 +130,8 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
 
     The path from the root is an explicit stack of branching frames
     (candidate mask, size, saved degrees, pending children, required
-    mask, current child, maximum degree), so a deep search is bounded by memory, not by
-    the interpreter's recursion limit.  The per-vertex lists are built
+    mask, current child, maximum degree), so a deep search is bounded
+    by memory, not by the interpreter's recursion limit.  The per-vertex lists are built
     only when the greedy seed leaves the root something to search.
     """
     if k < 0:
