@@ -164,7 +164,8 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
     """
     n = h.n
     top = max(h.degrees)
-    # field v of `packed` is bits [v*width, (v+1)*width): guard + deg(v)
+    # field v of `packed` is bits [v*width, (v+1)*width) and holds
+    # guard + deg(v), the guard being its top bit, 1 << width - 1
     width = top.bit_length() + 1
     unit = [1 << v * width for v in range(n)]
     # per vertex, in edge order: (edge mask, one unit at every endpoint)
@@ -237,7 +238,8 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
         spent += 1
         if limit is not None and spent > limit:
             return best, best_mask, spent
-        # u's live edges take every endpoint down by one, u's own field to 0
+        # each live edge of the child's vertex takes one from each of its
+        # endpoints, so that vertex's own field falls to 0
         for emask, edec in drops[bit.bit_length() - 1]:
             if emask & fmask == emask:
                 packed -= edec
