@@ -208,20 +208,14 @@ def _degree_table(h: Hypergraph, kcs: tuple[int, ...]) -> _Table:
     """The degree histogram of h, with P[d - kc + 1] for every degree d
     and index kc in `kcs` (and P[1]) over one common denominator.
 
-    `caro_tuza_k` at index kc reads these entries, and `caro_tuza_alpha`
-    reads the kc = 1 entries, P[d].
+    `caro_tuza_k` at index kc reads these entries; `caro_tuza_alpha`
+    is `caro_tuza_k` at kc = 1.
     """
     hist = Counter(h.degrees)
     wanted = {1}
     for kc in kcs:
         wanted.update(d - kc + 1 for d in hist if d >= kc - 1)
     return (hist, *_ordinary_products(h.s, wanted))
-
-
-def _caro_tuza_alpha(table: _Table) -> BoundValue:
-    hist, nums, den = table
-    total = sum(count * nums[d] for d, count in hist.items())
-    return BoundValue("caro_tuza_alpha", Fraction(total, den), True)
 
 
 def _caro_tuza_k(s: int, kc: int, table: _Table, name: str) -> BoundValue:
@@ -235,7 +229,7 @@ def _caro_tuza_k(s: int, kc: int, table: _Table, name: str) -> BoundValue:
 
 def bound_caro_tuza_alpha(h: Hypergraph) -> BoundValue:
     """Degree-sequence product bound for plain independence (k = 0)."""
-    return _caro_tuza_alpha(_degree_table(h, (1,)))
+    return _caro_tuza_k(h.s, 1, _degree_table(h, (1,)), "caro_tuza_alpha")
 
 
 def bound_caro_tuza_k(h: Hypergraph, kc: int) -> BoundValue:
@@ -302,7 +296,7 @@ def bound_report(h: Hypergraph, k: int) -> BoundReport:
     ]
     table = _degree_table(h, (k + 1, k) if k else (1,))
     if k == 0:
-        bounds.append(_caro_tuza_alpha(table))
+        bounds.append(_caro_tuza_k(h.s, 1, table, "caro_tuza_alpha"))
         bounds.append(_bound_cps(h, table[0]))
     bounds.append(_caro_tuza_k(h.s, k + 1, table, "caro_tuza_k"))
     if k >= 1:

@@ -150,6 +150,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.output == "":
+        raise _UsageError("--output must name a directory")
     if args.config is None:
         cfg = VerifyConfig()
     else:

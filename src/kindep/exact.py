@@ -14,11 +14,14 @@ violator, and O(1) to snapshot or restore the degrees; children cut on
 entry still count in `nodes` but cost O(1) as a group.  On a graph
 (s = 2) a chi node costs three mask operations per class tried and
 O(k) for the class it accepts; for s >= 3 it costs O(s * deg v) per
-class tried.  The node count is part of every result, so the search
-tree itself is fixed output: a pruning rule that cuts it changes the
-printed bytes.
+class tried, and keeps one degree per vertex, inside its own class.
+The node count is part of every result, so the search tree itself is
+fixed output: a pruning rule that cuts it changes the printed bytes.
 
-A node budget turns an over-large call into an explicit
+Every search follows one node-budget contract: it counts each node it
+enters, the root included, and stops at the first node past the budget,
+and `nodes` reports that count.  The chi oracle carries one count
+through its deepening rounds.  An overrun is an explicit
 "budget_exceeded" result; the oracle never returns an approximation.
 """
 
@@ -63,23 +66,6 @@ class OracleResult:
             "witness": witness,
             "nodes": self.nodes,
         }
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _NodeMeter:
-    """Counts search nodes; raises once a finite limit is crossed."""
-
-    def __init__(self, limit: int | None) -> None:
-        self.spent = 0
-        self.limit = limit
-
-    def tick(self) -> None:
-        self.spent += 1
-        if self.limit is not None and self.spent > self.limit:
-            raise _BudgetExceeded
 
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
@@ -285,32 +271,39 @@ def alpha_k_bruteforce(h: Hypergraph, k: int) -> int:
 
 
 def _partition_search(by_last: list[list[tuple[int, tuple[int, ...]]]], k: int,
-                      classes: int, meter: _NodeMeter) -> list[int] | None:
+                      classes: int, spent: int,
+                      limit: int | None) -> tuple[list[int] | None, int]:
     """Backtracking assignment of vertices (in id order) to `classes`
     classes, each keeping induced max degree <= k; returns the class
-    membership masks, or None.  Symmetry is broken by allowing a vertex
-    only the used classes plus one fresh one.
+    membership masks (None if there are none, or at the first node
+    entered past `limit`) and `spent` plus the nodes entered here, root
+    included.  Symmetry is broken by allowing a vertex only the used
+    classes plus one fresh one.
 
     An edge is charged to its last vertex: `by_last[v]` holds (rest
     mask, edge) for each edge ending at v, and the edge closes in class
     t when its rest is already in t, a mask-subset test against
-    `members[t]`.  A node costs O(s * deg v) per class tried: the closed
-    edges are charged, and uncharged again when the class fails.  The
-    search keeps an explicit stack, one entry per assigned vertex, so
-    its depth is not bounded by the interpreter's recursion limit.
+    `members[t]`.  All endpoints of a closed edge are then in t, so one
+    list `deg` serves every class: the degree of each assigned vertex
+    inside its own class, and of v inside the class it tries.  A node
+    costs O(s * deg v) per class tried: the closed edges are charged,
+    and uncharged again when the class fails.  The search keeps an
+    explicit stack, one entry per assigned vertex, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     n = len(by_last)
     members = [0] * classes
-    cls_deg = [[0] * n for _ in range(classes)]
+    deg = [0] * n
     # per assigned vertex: (its class, classes used before it, edges it closed)
     stack: list[tuple[int, int, list[tuple[int, ...]]]] = []
     v, used, t = 0, 0, 0
-    meter.tick()
+    spent += 1  # the root
+    if limit is not None and spent > limit:
+        return None, spent
     while True:
-        limit = min(used + 1, classes)
-        while t < limit:
+        avail = min(used + 1, classes)
+        while t < avail:
             m = members[t]
-            deg = cls_deg[t]
             done = []
             over = False
             for rest, edge in by_last[v]:
@@ -324,28 +317,30 @@ def _partition_search(by_last: list[list[tuple[int, tuple[int, ...]]]], k: int,
                 break
             _undo(deg, done)
             t += 1
-        if t < limit:
+        if t < avail:
             stack.append((t, used, done))
             members[t] |= 1 << v
             if t == used:
                 used += 1
             v += 1
             if v == n:
-                return members
-            meter.tick()
+                return members, spent
+            spent += 1
+            if limit is not None and spent > limit:
+                return None, spent
             t = 0
         elif stack:
             v -= 1
             t, used, done = stack.pop()
             members[t] &= ~(1 << v)
-            _undo(cls_deg[t], done)
+            _undo(deg, done)
             t += 1
         else:
-            return None
+            return None, spent
 
 
-def _graph_partition_search(lower: list[int], k: int, classes: int,
-                            meter: _NodeMeter) -> list[int] | None:
+def _graph_partition_search(lower: list[int], k: int, classes: int, spent: int,
+                            limit: int | None) -> tuple[list[int] | None, int]:
     """`_partition_search` on a graph, whose edges ending at v have the
     rests `lower[v]`, the mask of v's lower-id neighbours.
 
@@ -356,7 +351,7 @@ def _graph_partition_search(lower: list[int], k: int, classes: int,
     edges or close one at a vertex of `full`.  A rejected class costs
     three mask operations and changes nothing; degrees and `full` move
     only when a class is accepted and when the stack pops, O(k) each.
-    Same tree, ticks and result as the per-edge loop.
+    Same tree, node count and result as the per-edge loop.
     """
     n = len(lower)
     members = [0] * classes
@@ -365,16 +360,18 @@ def _graph_partition_search(lower: list[int], k: int, classes: int,
     # per assigned vertex: (its class, classes used before it, closed mask)
     stack: list[tuple[int, int, int]] = []
     v, used, t = 0, 0, 0
-    meter.tick()
+    spent += 1  # the root
+    if limit is not None and spent > limit:
+        return None, spent
     while True:
-        limit = min(used + 1, classes)
+        avail = min(used + 1, classes)
         low = lower[v]
-        while t < limit:
+        while t < avail:
             closed = low & members[t]
             if not closed & full and closed.bit_count() <= k:
                 break
             t += 1
-        if t < limit:
+        if t < avail:
             stack.append((t, used, closed))
             bit = 1 << v
             members[t] |= bit
@@ -392,8 +389,10 @@ def _graph_partition_search(lower: list[int], k: int, classes: int,
                 used += 1
             v += 1
             if v == n:
-                return members
-            meter.tick()
+                return members, spent
+            spent += 1
+            if limit is not None and spent > limit:
+                return None, spent
             t = 0
         elif stack:
             v -= 1
@@ -407,7 +406,7 @@ def _graph_partition_search(lower: list[int], k: int, classes: int,
                 closed ^= bit
             t += 1
         else:
-            return None
+            return None, spent
 
 
 def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> OracleResult:
@@ -415,15 +414,15 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
     per class, by iterative deepening over the class count.
 
     n singleton classes are always valid (s >= 2), so deepening from 1
-    terminates without leaning on any bound under test.  One node
-    budget is shared across the deepening rounds, and so is the table
-    of charged edges that `_graph_partition_search` (s = 2) or
+    terminates without leaning on any bound under test.  The rounds
+    share one count of entered nodes, reported as `nodes`, which stops
+    the search at the first node past `node_budget`, and the table of
+    charged edges that `_graph_partition_search` (s = 2) or
     `_partition_search` (s >= 3) reads.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1 for the partition oracle, got {k}")
     start = time.perf_counter()
-    meter = _NodeMeter(node_budget)
     if h.s == 2:
         lower = [0] * h.n
         for u, v in h.edges:
@@ -435,14 +434,14 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
             last = edge[-1]
             by_last[last].append((emask & ~(1 << last), edge))
         search, table = _partition_search, by_last
+    spent = 0
     for classes in range(1, h.n + 1):
-        try:
-            members = search(table, k, classes, meter)
-        except _BudgetExceeded:
+        members, spent = search(table, k, classes, spent, node_budget)
+        if node_budget is not None and spent > node_budget:
             return OracleResult("chi_k", k, None, "budget_exceeded", None,
-                                meter.spent, time.perf_counter() - start)
+                                spent, time.perf_counter() - start)
         if members is not None:
             witness = tuple(_mask_to_vertices(m) for m in members if m)
             return OracleResult("chi_k", k, classes, "exact", witness,
-                                meter.spent, time.perf_counter() - start)
+                                spent, time.perf_counter() - start)
     raise AssertionError("singleton partition must have succeeded")

@@ -171,10 +171,16 @@ def _validate_config(cfg: VerifyConfig) -> None:
             raise ConfigError("random_s must list uniformities >= 2")
         if max(cfg.random_s) > cfg.random_n_min:
             raise ConfigError("random_n_min must be >= every uniformity in random_s")
-        if not cfg.random_k or min(cfg.random_k) < 0:
+        if not cfg.random_k:
             raise ConfigError("random_k must list k values >= 0")
         if cfg.random_m_max_factor < 0:
             raise ConfigError("random_m_max_factor must be nonnegative")
+    # the replication sample reads random_k even when random_count = 0
+    for key in ("exhaustive_k", "random_k"):
+        if min(getattr(cfg, key), default=0) < 0:
+            raise ConfigError(f"{key} must list k values >= 0")
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must name a directory")
     for key in sorted(_BUDGET_KEYS):
         if (getattr(cfg, key) or 0) < 0:
             raise ConfigError(f"{key} must be nonnegative (0 = unlimited)")
@@ -276,15 +282,13 @@ class DumpSink:
     """Writes counterexample instances plus JSON diagnoses, up to `limit`
     of them; `dropped` counts the ones refused past that cap."""
 
-    def __init__(self, out_dir: str | None, limit: int = 16) -> None:
+    def __init__(self, out_dir: str, limit: int = 16) -> None:
         self.out_dir = out_dir
         self.limit = limit
         self.written: list[str] = []
         self.dropped = 0
 
     def dump(self, check: str, inst: CorpusInstance, detail: dict) -> None:
-        if self.out_dir is None:
-            return
         if len(self.written) >= self.limit:
             self.dropped += 1
             return

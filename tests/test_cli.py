@@ -366,6 +366,13 @@ def test_verify_bad_config_exits_2(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_verify_empty_output_exits_2_before_any_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--output", "")
+    assert code == 2
+    assert out == ""
+    assert "--output must name a directory" in err
+
+
 @pytest.mark.parametrize("command", ["verify", "compare"])
 def test_negative_config_budget_exits_2(tmp_path, capsys, command):
     cfg_path = tmp_path / "negative.cfg"

@@ -179,6 +179,27 @@ def test_chi_pinned_on_a_dense_graph():
     }
 
 
+def test_chi_pinned_on_a_3_uniform_hypergraph():
+    # s = 3 runs the per-edge search; n = 24 is above the n <= 14 the
+    # hypergraph reference draws.  Recorded before the search counted its
+    # nodes inline and kept one degree per vertex.
+    h = gen_random_uniform(24, 120, 3, 0)
+    assert chi_k_exact(h, 1).to_json_dict() == {
+        "quantity": "chi_k",
+        "k": 1,
+        "value": 3,
+        "status": "exact",
+        "witness": [
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16],
+            [10, 11, 13, 14, 15, 17, 18],
+            [19, 20, 21, 22, 23, 24],
+        ],
+        "nodes": 11152,
+    }
+    over = chi_k_exact(h, 1, node_budget=11151)
+    assert (over.status, over.value, over.nodes) == ("budget_exceeded", None, 11152)
+
+
 def test_chi_budget_exceeded():
     h = gen_complete(8, 3)
     res = chi_k_exact(h, 1, node_budget=2)

@@ -74,6 +74,10 @@ def test_config_overrides_and_comments():
         ("fault_injection = scramble\n", "fault_injection"),
         ("alpha_budget = -5\n", "alpha_budget must be nonnegative"),
         ("chi_budget = -1\n", "chi_budget must be nonnegative"),
+        ("output_dir =\n", "output_dir must name a directory"),
+        ("exhaustive_k = 0,-1\n", "exhaustive_k must list k values >= 0"),
+        # only the replication sample reads random_k here
+        ("random_count = 0\nrandom_k = -1\n", "random_k must list k values >= 0"),
     ],
 )
 def test_config_rejections(text, fragment):
