@@ -129,8 +129,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     h = load_hg(args.file)
-    if args.algo == "partition" and args.k == 0:
-        raise _UsageError("partition extraction requires k >= 1")
     result = _ALGORITHMS[args.algo](h, args.k)
     _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.output)
     return 0
@@ -139,12 +137,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     h = load_hg(args.file)
     budget = args.budget if args.budget else None
-    if args.quantity == "alpha":
-        result = alpha_k_exact(h, args.k, budget)
-    else:
-        if args.k < 1:
-            raise _UsageError("chi queries require k >= 1")
-        result = chi_k_exact(h, args.k, budget)
+    oracle = alpha_k_exact if args.quantity == "alpha" else chi_k_exact
+    result = oracle(h, args.k, budget)
     _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.output)
     return 0
 
@@ -162,8 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         overrides["master_seed"] = args.seed
     if args.budget is not None:
         overrides["alpha_budget"] = overrides["chi_budget"] = args.budget or None
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
     outcome = run_verify(cfg, out_dir=args.output)
     sys.stdout.write(outcome.report_text)
     return 0 if outcome.passed else 1

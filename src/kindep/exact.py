@@ -421,7 +421,7 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
     `_partition_search` (s >= 3) reads.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1 for the partition oracle, got {k}")
+        raise ValueError(f"the partition oracle needs k >= 1, got {k}")
     start = time.perf_counter()
     if h.s == 2:
         lower = [0] * h.n

@@ -3,7 +3,9 @@ checked against exact ground truth over reproducible instance corpora.
 
 A flat key=value config fixes the corpus (an exhaustive sweep of all
 edge subsets at one small size, plus seeded random instances) and the
-checks to run.  The master seed fully determines every random instance,
+checks to run; building an invalid `VerifyConfig`, by parsing,
+construction or `dataclasses.replace`, raises `ConfigError`, before any
+check runs.  The master seed fully determines every random instance,
 and any instance can be rebuilt from the config plus its corpus uid, so
 a failure report is always reproducible.  Violations are dumped as .hg
 files with JSON diagnoses.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -95,6 +97,10 @@ fault_injection =
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """One verify run's corpus, checks, budgets and dump directory.  The
+    constructor, and so `replace` and `parse_verify_config`, raises
+    `ConfigError` on an invalid config, before any check can run."""
+
     exhaustive_n: int = 5
     exhaustive_s: int = 3
     exhaustive_k: tuple[int, ...] = (0, 1, 2, 3)
@@ -112,6 +118,39 @@ class VerifyConfig:
     chi_budget: int | None = 2_000_000
     output_dir: str = "verify_out"
     fault_injection: str = ""
+
+    def __post_init__(self) -> None:
+        if self.exhaustive_n and not 2 <= self.exhaustive_s <= self.exhaustive_n:
+            raise ConfigError("exhaustive corpus needs 2 <= s <= n")
+        if self.exhaustive_n and self.exhaustive_n > 7:
+            raise ConfigError("exhaustive corpus beyond n = 7 is intractable")
+        if self.random_count:
+            if self.random_n_min > self.random_n_max:
+                raise ConfigError("random_n_min exceeds random_n_max")
+            if not self.random_s or min(self.random_s) < 2:
+                raise ConfigError("random_s must list uniformities >= 2")
+            if max(self.random_s) > self.random_n_min:
+                raise ConfigError("random_n_min must be >= every uniformity in random_s")
+            if not self.random_k:
+                raise ConfigError("random_k must list k values >= 0")
+            if self.random_m_max_factor < 0:
+                raise ConfigError("random_m_max_factor must be nonnegative")
+        # the replication sample reads random_k even when random_count = 0
+        for key in ("exhaustive_k", "random_k"):
+            if min(getattr(self, key), default=0) < 0:
+                raise ConfigError(f"{key} must list k values >= 0")
+        if not self.output_dir:
+            raise ConfigError("output_dir must name a directory")
+        for key in sorted(_BUDGET_KEYS):
+            if (getattr(self, key) or 0) < 0:
+                raise ConfigError(f"{key} must be nonnegative (0 = unlimited)")
+        if self.replication_count and self.replication_n_max < 4:
+            raise ConfigError("replication_n_max must be at least 4")
+        for name in self.checks:
+            if name not in CHECK_ORDER:
+                raise ConfigError(f"unknown check {name!r}")
+        if self.fault_injection not in FAULT_MODES:
+            raise ConfigError(f"unknown fault_injection mode {self.fault_injection!r}")
 
 
 _INT_KEYS = {
@@ -144,9 +183,7 @@ def parse_verify_config(text: str) -> VerifyConfig:
                 values[key] = None if n == 0 else n
             elif key == "checks":
                 values[key] = tuple(p.strip() for p in rhs.split(",") if p.strip())
-            elif key == "output_dir":
-                values[key] = rhs
-            elif key == "fault_injection":
+            elif key in ("output_dir", "fault_injection"):
                 values[key] = rhs
             else:
                 raise ConfigError(f"config line {line_no}: unknown key {key!r}")
@@ -154,43 +191,7 @@ def parse_verify_config(text: str) -> VerifyConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"config line {line_no}: {exc}") from None
-    cfg = VerifyConfig(**values)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: VerifyConfig) -> None:
-    if cfg.exhaustive_n and not 2 <= cfg.exhaustive_s <= cfg.exhaustive_n:
-        raise ConfigError("exhaustive corpus needs 2 <= s <= n")
-    if cfg.exhaustive_n and cfg.exhaustive_n > 7:
-        raise ConfigError("exhaustive corpus beyond n = 7 is intractable")
-    if cfg.random_count:
-        if cfg.random_n_min > cfg.random_n_max:
-            raise ConfigError("random_n_min exceeds random_n_max")
-        if not cfg.random_s or min(cfg.random_s) < 2:
-            raise ConfigError("random_s must list uniformities >= 2")
-        if max(cfg.random_s) > cfg.random_n_min:
-            raise ConfigError("random_n_min must be >= every uniformity in random_s")
-        if not cfg.random_k:
-            raise ConfigError("random_k must list k values >= 0")
-        if cfg.random_m_max_factor < 0:
-            raise ConfigError("random_m_max_factor must be nonnegative")
-    # the replication sample reads random_k even when random_count = 0
-    for key in ("exhaustive_k", "random_k"):
-        if min(getattr(cfg, key), default=0) < 0:
-            raise ConfigError(f"{key} must list k values >= 0")
-    if not cfg.output_dir:
-        raise ConfigError("output_dir must name a directory")
-    for key in sorted(_BUDGET_KEYS):
-        if (getattr(cfg, key) or 0) < 0:
-            raise ConfigError(f"{key} must be nonnegative (0 = unlimited)")
-    if cfg.replication_count and cfg.replication_n_max < 4:
-        raise ConfigError("replication_n_max must be at least 4")
-    for name in cfg.checks:
-        if name not in CHECK_ORDER:
-            raise ConfigError(f"unknown check {name!r}")
-    if cfg.fault_injection not in FAULT_MODES:
-        raise ConfigError(f"unknown fault_injection mode {cfg.fault_injection!r}")
+    return VerifyConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -279,17 +280,18 @@ def _plain(obj: object) -> object:
 
 
 class DumpSink:
-    """Writes counterexample instances plus JSON diagnoses, up to `limit`
+    """Writes counterexample instances plus JSON diagnoses, up to `LIMIT`
     of them; `dropped` counts the ones refused past that cap."""
 
-    def __init__(self, out_dir: str, limit: int = 16) -> None:
+    LIMIT = 16
+
+    def __init__(self, out_dir: str) -> None:
         self.out_dir = out_dir
-        self.limit = limit
         self.written: list[str] = []
         self.dropped = 0
 
     def dump(self, check: str, inst: CorpusInstance, detail: dict) -> None:
-        if len(self.written) >= self.limit:
+        if len(self.written) >= self.LIMIT:
             self.dropped += 1
             return
         os.makedirs(self.out_dir, exist_ok=True)
@@ -326,6 +328,27 @@ class CheckResult:
     violations: int
     skipped: int = 0
     notes: tuple[str, ...] = ()
+
+
+class _Tally:
+    """The counters of one check, named once: every comparison, every
+    violation with its counterexample dump, and every skipped pair."""
+
+    def __init__(self, name: str, sink: DumpSink) -> None:
+        self.name = name
+        self.sink = sink
+        self.comparisons = self.violations = self.skipped = 0
+
+    def compare(self, inst: CorpusInstance, failure: dict | None) -> None:
+        """Count one comparison; a non-empty `failure` is a dumped violation."""
+        self.comparisons += 1
+        if failure:
+            self.violations += 1
+            self.sink.dump(self.name, inst, failure)
+
+    def result(self, *notes: str) -> CheckResult:
+        return CheckResult(self.name, self.violations == 0, self.comparisons,
+                           self.violations, self.skipped, notes)
 
 
 def _budget_note(skipped: int, total: int, oracle: str, budget: int | None) -> tuple[str, ...]:
@@ -382,13 +405,13 @@ def check_bound_soundness(
     """ceil(bound) <= exact alpha for every applicable non-diagnostic
     bound on every pair; the diagnostic index variant is tallied in a
     note instead of failing."""
-    comparisons = violations = skipped = 0
+    tally = _Tally("bound-soundness", sink)
     diag_rows = diag_misses = 0
     overclaim = fault_injection == "overclaim-bounds"
     for inst in pairs:
         alpha = cache.alpha(inst)
         if alpha is None:
-            skipped += 1
+            tally.skipped += 1
             continue
         for b in cache.report(inst).bounds:
             if not b.applicable:
@@ -401,48 +424,32 @@ def check_bound_soundness(
                 continue
             if overclaim:
                 ceiling += 1
-            comparisons += 1
-            if ceiling > alpha:
-                violations += 1
-                sink.dump("bound-soundness", inst, {
-                    "bound": b.name,
-                    "value": b.value,
-                    "ceiled": ceiling,
-                    "alpha": alpha,
-                    "fault_injection": fault_injection or None,
-                })
-    notes = (f"diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows",
-             *_budget_note(skipped, len(pairs), "alpha", cache.budget))
-    return CheckResult("bound-soundness", violations == 0, comparisons,
-                       violations, skipped, notes)
+            tally.compare(inst, None if ceiling <= alpha else {
+                "bound": b.name, "value": b.value, "ceiled": ceiling, "alpha": alpha,
+                "fault_injection": fault_injection or None,
+            })
+    return tally.result(
+        f"diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows",
+        *_budget_note(tally.skipped, len(pairs), "alpha", cache.budget))
 
 
 def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink,
                                  cache: _RunCache) -> CheckResult:
     """Every extractor reaches the size its originating bound promises."""
-    comparisons = violations = 0
+    tally = _Tally("extraction-achievement", sink)
     early_stops = full_phases = d_drop_misses = 0
     stop_rows = stop_ok = 0
     for inst in pairs:
         h, k = inst.h, inst.k
         report = cache.report(inst)
-        g = greedy_peel(h, k)
-        target = report.bound("edge_count").value
-        comparisons += 1
-        if g.size < target:
-            violations += 1
-            sink.dump("extraction-achievement", inst, {
-                "algorithm": "greedy_peel", "size": g.size, "target": target,
-            })
         probe: list[dict] = []
-        b = band_peel(h, k, probe)
-        target = report.bound("avg_degree").ceiled()
-        comparisons += 1
-        if b.size < target:
-            violations += 1
-            sink.dump("extraction-achievement", inst, {
-                "algorithm": "band_peel", "size": b.size, "target": target,
-                "phases": probe,
+        rows = [(greedy_peel(h, k), report.bound("edge_count").value, {}),
+                (band_peel(h, k, probe), report.bound("avg_degree").ceiled(), {"phases": probe})]
+        if k >= 1:
+            rows.append((partition_extract(h, k), report.bound("max_degree").ceiled(), {}))
+        for res, target, extra in rows:
+            tally.compare(inst, None if res.size >= target else {
+                "algorithm": res.algorithm, "size": res.size, "target": target, **extra,
             })
         for phase in probe:
             if phase["early_stop"]:
@@ -454,49 +461,30 @@ def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink,
                 full_phases += 1
                 if phase["remainder_d_ok"] is False:
                     d_drop_misses += 1
-        if k >= 1:
-            p = partition_extract(h, k)
-            target = report.bound("max_degree").ceiled()
-            comparisons += 1
-            if p.size < target:
-                violations += 1
-                sink.dump("extraction-achievement", inst, {
-                    "algorithm": "partition_extract", "size": p.size, "target": target,
-                })
-    notes = (
+    return tally.result(
         f"band phases: {full_phases} ran to the cap, {early_stops} stopped early",
         f"after full phases, remainder average degree left the band {d_drop_misses} times",
         f"early-stop class-count inequality held on {stop_ok}/{stop_rows} probed rows",
     )
-    return CheckResult("extraction-achievement", violations == 0, comparisons,
-                       violations, 0, notes)
 
 
 def check_fg_properties(sink: DumpSink) -> CheckResult:
     """Exact identities of the two helper functions on a rational grid."""
     xs = sorted({Fraction(p, q) for p in range(0, 41) for q in range(1, 13)})
     fvals = {x: eval_f(x) for x in xs}
-    comparisons = violations = 0
+    tally = _Tally("fg-properties", sink)
     dummy = CorpusInstance("fg", Hypergraph(1, 2), 0, "grid")
-
-    def fail(detail: dict) -> None:
-        nonlocal violations
-        violations += 1
-        sink.dump("fg-properties", dummy, detail)
-
     for x in xs:
         if x > 0:
-            comparisons += 1
-            if eval_g(x) != fvals[x]:
-                fail({"property": "f-equals-g", "x": x, "f": fvals[x], "g": eval_g(x)})
-        comparisons += 1
+            tally.compare(dummy, None if eval_g(x) == fvals[x] else
+                          {"property": "f-equals-g", "x": x, "f": fvals[x], "g": eval_g(x)})
         base = Fraction(1, 1) / (1 + x)
-        if fvals[x] < base or (fvals[x] == base) != (x.denominator == 1):
-            fail({"property": "f-vs-harmonic", "x": x, "f": fvals[x], "harmonic": base})
+        held = fvals[x] >= base and (fvals[x] == base) == (x.denominator == 1)
+        tally.compare(dummy, None if held else
+                      {"property": "f-vs-harmonic", "x": x, "f": fvals[x], "harmonic": base})
     for a, b in zip(xs, xs[1:]):
-        comparisons += 1
-        if fvals[a] < fvals[b]:
-            fail({"property": "monotone", "x1": a, "x2": b})
+        tally.compare(dummy, None if fvals[a] >= fvals[b] else
+                      {"property": "monotone", "x1": a, "x2": b})
     # All-pairs midpoint convexity, 2 f((a+b)/2) <= f(a) + f(b), compared
     # by integer cross-multiplication (every denominator is positive):
     # Fraction arithmetic on the ~45k pairs would dominate the check.
@@ -512,10 +500,10 @@ def check_fg_properties(sink: DumpSink) -> CheckResult:
             if fmid is None:
                 value = eval_f(Fraction(*key))
                 fmid = mid_memo[key] = (value.numerator, value.denominator)
-            comparisons += 1
-            if 2 * fmid[0] * fad * fbd > (fan * fbd + fbn * fad) * fmid[1]:
-                fail({"property": "midpoint-convexity", "x1": a, "x2": b})
-    return CheckResult("fg-properties", violations == 0, comparisons, violations)
+            held = 2 * fmid[0] * fad * fbd <= (fan * fbd + fbn * fad) * fmid[1]
+            tally.compare(dummy, None if held else
+                          {"property": "midpoint-convexity", "x1": a, "x2": b})
+    return tally.result()
 
 
 def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
@@ -523,7 +511,7 @@ def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
     disjoint copies; alpha scales exactly by the copy count.  An instance
     whose alpha, or the alpha of a copy, overruns the node budget is
     skipped for the alpha comparisons; its bound comparisons still run."""
-    comparisons = violations = skipped = 0
+    tally = _Tally("replication", sink)
     for i in range(cfg.replication_count):
         inst = _draw_replication_instance(cfg, i)
         h, k = inst.h, inst.k
@@ -537,30 +525,24 @@ def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
                 scaled = alpha_k_exact(rep, k, cfg.alpha_budget)
                 overran = scaled.status != "exact"
             if not overran:
-                comparisons += 1
-                if scaled.value != c * base.value:
-                    violations += 1
-                    sink.dump("replication", inst, {
-                        "copies": c, "alpha": base.value, "alpha_replicated": scaled.value,
-                    })
+                tally.compare(inst, None if scaled.value == c * base.value else {
+                    "copies": c, "alpha": base.value, "alpha_replicated": scaled.value,
+                })
             rep_report = bound_report(rep, k)
             for b, rb in zip(base_report.bounds, rep_report.bounds):
-                comparisons += 1
                 ok = b.name == rb.name and b.applicable == rb.applicable
                 if ok and isinstance(b.value, Fraction):
                     ok = rb.value == c * b.value
                 elif ok and b.name == "cps" and b.applicable:
                     ok = cps_per_vertex(rep) == base_pv
-                if not ok:
-                    violations += 1
-                    sink.dump("replication", inst, {
-                        "copies": c, "bound": b.name,
-                        "value": b.value, "value_replicated": rb.value,
-                    })
+                tally.compare(inst, None if ok else {
+                    "copies": c, "bound": b.name,
+                    "value": b.value, "value_replicated": rb.value,
+                })
         if overran:
-            skipped += 1
-    return CheckResult("replication", violations == 0, comparisons, violations, skipped,
-                       _budget_note(skipped, cfg.replication_count, "alpha", cfg.alpha_budget))
+            tally.skipped += 1
+    return tally.result(*_budget_note(tally.skipped, cfg.replication_count, "alpha",
+                                      cfg.alpha_budget))
 
 
 def check_partition(pairs: list[CorpusInstance], sink: DumpSink,
@@ -568,59 +550,45 @@ def check_partition(pairs: list[CorpusInstance], sink: DumpSink,
     """Partition emits exactly ceil(delta/k) classes and at most e
     moves; the exact chi oracle never exceeds that class count where
     it completes."""
-    comparisons = violations = skipped = 0
+    tally = _Tally("partition", sink)
     for inst in pairs:
         h, k = inst.h, inst.k
         if k < 1:
             continue
         part = k_partition(h, k)
         expected = max(1, -(-h.max_degree // k))
-        comparisons += 1
         problems = {}
         if len(part.classes) != expected:
             problems["classes"] = [len(part.classes), expected]
         if len(part.moves) > h.e:
             problems["moves"] = [len(part.moves), h.e]
-        if problems:
-            violations += 1
-            sink.dump("partition", inst, problems)
+        tally.compare(inst, problems)
         oracle = chi_k_exact(h, k, chi_budget)
         if oracle.status != "exact":
-            skipped += 1
+            tally.skipped += 1
             continue
-        comparisons += 1
-        if oracle.value > expected:
-            violations += 1
-            sink.dump("partition", inst, {
-                "chi": oracle.value, "class_bound": expected,
-            })
+        tally.compare(inst, None if oracle.value <= expected else {
+            "chi": oracle.value, "class_bound": expected,
+        })
     tried = sum(1 for inst in pairs if inst.k >= 1)
-    return CheckResult("partition", violations == 0, comparisons, violations, skipped,
-                       _budget_note(skipped, tried, "chi", chi_budget))
+    return tally.result(*_budget_note(tally.skipped, tried, "chi", chi_budget))
 
 
 def check_oracle_self_agreement(pairs: list[CorpusInstance], sink: DumpSink,
                                 cache: _RunCache) -> CheckResult:
     """Pruned search equals the plain subset sweep wherever n <= 12."""
-    comparisons = violations = skipped = 0
+    tally = _Tally("oracle-self-agreement", sink)
     for inst in pairs:
         if inst.h.n > 12:
             continue
         alpha = cache.alpha(inst)
         if alpha is None:
-            skipped += 1
+            tally.skipped += 1
             continue
-        comparisons += 1
         sweep = alpha_k_bruteforce(inst.h, inst.k)
-        if alpha != sweep:
-            violations += 1
-            sink.dump("oracle-self-agreement", inst, {
-                "pruned": alpha, "sweep": sweep,
-            })
+        tally.compare(inst, None if alpha == sweep else {"pruned": alpha, "sweep": sweep})
     tried = sum(1 for inst in pairs if inst.h.n <= 12)
-    return CheckResult("oracle-self-agreement", violations == 0, comparisons,
-                       violations, skipped,
-                       _budget_note(skipped, tried, "alpha", cache.budget))
+    return tally.result(*_budget_note(tally.skipped, tried, "alpha", cache.budget))
 
 
 def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink,
@@ -628,7 +596,7 @@ def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink,
     """Where k >= 1 and delta >= k(k+1), the simple average-degree bound
     is at least the max-degree bound; strictness whenever k does not
     divide delta is tallied, not asserted."""
-    comparisons = violations = 0
+    tally = _Tally("remark-regime", sink)
     strict_expected = strict_held = 0
     for inst in pairs:
         h, k = inst.h, inst.k
@@ -637,17 +605,13 @@ def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink,
         report = cache.report(inst)
         simple = report.bound("avg_degree_simple").value
         degree = report.bound("max_degree").value
-        comparisons += 1
-        if simple < degree:
-            violations += 1
-            sink.dump("remark-regime", inst, {
-                "avg_degree_simple": simple, "max_degree": degree,
-            })
+        tally.compare(inst, None if simple >= degree else {
+            "avg_degree_simple": simple, "max_degree": degree,
+        })
         if h.max_degree % k != 0:
             strict_expected += 1
             strict_held += simple > degree
-    notes = (f"strict in {strict_held}/{strict_expected} rows with k not dividing delta",)
-    return CheckResult("remark-regime", violations == 0, comparisons, violations, 0, notes)
+    return tally.result(f"strict in {strict_held}/{strict_expected} rows with k not dividing delta")
 
 
 @dataclass(frozen=True)
@@ -659,13 +623,16 @@ class VerifyOutcome:
 
 
 def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
-    """Build the corpus, run the configured checks, render the report."""
+    """Build the corpus, run the configured checks, render the report.
+    A given `out_dir` replaces the config's `output_dir`."""
+    if out_dir is not None:
+        cfg = replace(cfg, output_dir=out_dir)
     exhaustive = build_exhaustive_corpus(cfg)
     randoms = build_random_corpus(cfg)
     pairs = exhaustive + randoms
     if not pairs:
         raise ConfigError("no instances in corpus")
-    sink = DumpSink(cfg.output_dir if out_dir is None else out_dir)
+    sink = DumpSink(cfg.output_dir)
     cache = _RunCache(cfg.alpha_budget)
     runners = {
         "bound-soundness": lambda: check_bound_soundness(pairs, sink, cache,
@@ -692,7 +659,7 @@ def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
         lines.append(f"counterexample: {stem}")
     if sink.dropped:
         lines.append(f"note: {len(sink.written)} counterexample dumps written, "
-                     f"{sink.dropped} dropped at the cap of {sink.limit}")
+                     f"{sink.dropped} dropped at the cap of {sink.LIMIT}")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
     report = "\n".join(lines) + "\n"
     return VerifyOutcome(passed, tuple(results), tuple(sink.written), report)

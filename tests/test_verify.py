@@ -6,10 +6,13 @@ a small configuration keeps the feedback loop fast.
 """
 
 import json
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from kindep import verify
 from kindep import (
     CHECK_ORDER,
     ConfigError,
@@ -162,6 +165,21 @@ def test_empty_corpus_is_an_error(tmp_path):
         run_verify(cfg, out_dir=str(tmp_path))
 
 
+def test_run_verify_rejects_an_empty_out_dir_up_front(tmp_path, monkeypatch):
+    # a failing run would dump; the gate must stop it before any check runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="output_dir must name a directory"):
+        run_verify(replace(SMALL, fault_injection="overclaim-bounds"), out_dir="")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_built_in_code_passes_the_gate():
+    with pytest.raises(ConfigError, match="exhaustive_k must list k values >= 0"):
+        replace(SMALL, exhaustive_k=(-1,))
+    with pytest.raises(ConfigError, match="chi_budget must be nonnegative"):
+        VerifyConfig(chi_budget=-1)
+
+
 def test_fault_injection_fails_and_dumps(tmp_path):
     cfg = replace(SMALL, fault_injection="overclaim-bounds")
     outcome = run_verify(cfg, out_dir=str(tmp_path))
@@ -237,3 +255,57 @@ def test_dropped_dumps_are_noted(tmp_path, small_outcome):
                          f"dropped at the cap of 16")
     assert lines[-3] == f"counterexample: {outcome.dumps[-1]}"
     assert "dropped" not in small_outcome.report_text
+
+
+def _value_plus_one(real):
+    def fake(h, k, budget=None):
+        res = real(h, k, budget)
+        return replace(res, value=res.value + 1)
+    return fake
+
+
+def _zero_simple_bound(real):
+    def fake(h, k):
+        report = real(h, k)
+        bounds = tuple(replace(b, value=Fraction(0))
+                       if b.name == "avg_degree_simple" and b.applicable else b
+                       for b in report.bounds)
+        return replace(report, bounds=bounds)
+    return fake
+
+
+# one fault per check not otherwise driven to a violation, each planted on
+# a name the check reads through kindep.verify
+FAULTS = [
+    ("fg-properties", "eval_g", lambda real: lambda x: -real(x)),
+    ("replication", "alpha_k_exact", _value_plus_one),
+    # ceil(delta/k) <= max(e, 1), so e + 2 classes exceeds every class bound
+    ("partition", "chi_k_exact",
+     lambda real: lambda h, k, budget=None: replace(real(h, k, budget), value=h.e + 2)),
+    ("oracle-self-agreement", "alpha_k_bruteforce", lambda real: lambda h, k: -1),
+    ("remark-regime", "bound_report", _zero_simple_bound),
+]
+
+
+@pytest.mark.parametrize("check, name, fault", FAULTS, ids=[f[0] for f in FAULTS])
+def test_faulted_check_files_its_dumps(tmp_path, monkeypatch, check, name, fault):
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    outcome = run_verify(replace(SMALL, checks=(check,)), out_dir=str(tmp_path))
+    (result,) = outcome.checks
+    assert result.name == check
+    assert not result.passed and not outcome.passed
+    assert result.violations > 0
+    assert len(outcome.dumps) == min(result.violations, 16)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == sorted(stem + ext for stem in outcome.dumps for ext in (".hg", ".json"))
+    for stem in outcome.dumps:
+        diagnosis = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert diagnosis["check"] == check
+        assert re.fullmatch(rf"{re.escape(check)}_{re.escape(diagnosis['instance'])}(-\d+)?",
+                            stem)
+    lines = outcome.report_text.splitlines()
+    dropped = result.violations - len(outcome.dumps)
+    if dropped:
+        assert lines[-2] == (f"note: 16 counterexample dumps written, {dropped} "
+                             f"dropped at the cap of 16")
+    assert lines[-1] == "result: FAIL"
