@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from kindep.bounds import BoundReport, bound_report
 from kindep.exact import alpha_k_exact, chi_k_exact
@@ -28,6 +29,7 @@ from kindep.extract import (
 from kindep.generators import gen_complete, gen_random_uniform
 from kindep.hgio import load_hg, save_hg
 from kindep.hypergraph import Hypergraph, HypergraphError
+from kindep.parallel import fan_out
 from kindep.verify import (
     ConfigError,
     VerifyConfig,
@@ -43,6 +45,9 @@ _ALGORITHMS = {
     "partition": partition_extract,
     "best": best_extract,
 }
+
+# Instances per compare task; each runs every k on them.
+_CHUNK = 16
 
 CSV_BOUND_COLUMNS = (
     "max_degree", "edge_count", "avg_degree", "avg_degree_simple",
@@ -194,6 +199,11 @@ def _csv_row_for(label: str, h: Hypergraph, k: int, budget: int | None) -> list[
     return row
 
 
+def _csv_rows(sources: list[tuple[str, Hypergraph]], ks: list[int],
+              budget: int | None) -> list[str]:
+    return [",".join(_csv_row_for(label, h, k, budget)) for label, h in sources for k in ks]
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         ks = [int(p) for p in args.k.split(",") if p.strip()]
@@ -225,9 +235,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             header.append(name + "_frac")
     header += ["best", "alpha", "greedy_size", "band_size", "partition_size", "best_size"]
     lines = [",".join(header)]
-    for label, h in sources:
-        for k in ks:
-            lines.append(",".join(_csv_row_for(label, h, k, budget)))
+    for rows in fan_out([partial(_csv_rows, sources[i:i + _CHUNK], ks, budget)
+                         for i in range(0, len(sources), _CHUNK)]):
+        lines += rows
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -320,9 +320,11 @@ def k_partition(h: Hypergraph, k: int) -> Partition:
     return Partition(k, classes, tuple(class_max), tuple(moves))
 
 
-def partition_extract(h: Hypergraph, k: int) -> ExtractionResult:
-    """Largest class of k_partition; pigeonhole gives n/ceil(delta/k)."""
-    part = k_partition(h, k)
+def partition_extract(h: Hypergraph, k: int, part: Partition | None = None) -> ExtractionResult:
+    """Largest class of k_partition; pigeonhole gives n/ceil(delta/k).
+    A caller that already holds `k_partition(h, k)` passes it as `part`."""
+    if part is None:
+        part = k_partition(h, k)
     best = max(part.classes, key=len)
     return _finalize(h, k, "partition_extract", best, part.moves)
 

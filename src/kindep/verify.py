@@ -13,10 +13,19 @@ files with JSON diagnoses.
 Reports contain no timing and no floats, so a fixed config yields
 byte-identical report text on every run and platform.
 
-The checks of one run share a `_RunCache`: each pair's exact alpha is
-computed once, and each bound report once per (n, s, k, degree
-histogram), so bound-soundness, extraction-achievement and
-remark-regime read their bounds from one report.
+`run_verify` uses every CPU in the process's affinity mask, so
+`taskset -c 0` limits it to one.  The corpus is cut into chunks of
+consecutive pairs, and each chunk, like fg-properties and replication,
+is one task for `kindep.parallel.fan_out`.  The tallies come back in
+task order and merge in check and pair order, and only then are the
+dumps written: the report and the dumps do not depend on the worker
+count.
+
+The checks of one chunk share a `_RunCache`: each pair's exact alpha
+and partition are computed once, and each process builds each bound
+report once per (n, s, k, degree histogram), so bound-soundness,
+extraction-achievement and remark-regime read their bounds from one
+report.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 
 import numpy as np
@@ -39,10 +49,11 @@ from kindep.bounds import (
     eval_g,
 )
 from kindep.exact import alpha_k_bruteforce, alpha_k_exact, chi_k_exact
-from kindep.extract import band_peel, greedy_peel, k_partition, partition_extract
+from kindep.extract import Partition, band_peel, greedy_peel, k_partition, partition_extract
 from kindep.generators import WordStream, gen_complete, gen_random_uniform
 from kindep.hgio import save_hg
 from kindep.hypergraph import Hypergraph
+from kindep.parallel import fan_out
 
 
 class ConfigError(ValueError):
@@ -146,6 +157,8 @@ class VerifyConfig:
                 raise ConfigError(f"{key} must be nonnegative (0 = unlimited)")
         if self.replication_count and self.replication_n_max < 4:
             raise ConfigError("replication_n_max must be at least 4")
+        if not self.checks:
+            raise ConfigError("checks must name at least one check")
         for name in self.checks:
             if name not in CHECK_ORDER:
                 raise ConfigError(f"unknown check {name!r}")
@@ -163,7 +176,7 @@ _BUDGET_KEYS = {"alpha_budget", "chi_budget"}
 
 
 def parse_verify_config(text: str) -> VerifyConfig:
-    """Parse the flat key=value config; unknown keys are errors."""
+    """Parse the flat key=value config; unknown and repeated keys are errors."""
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -173,6 +186,8 @@ def parse_verify_config(text: str) -> VerifyConfig:
             raise ConfigError(f"config line {line_no}: expected key = value, got {raw!r}")
         key, _, rhs = line.partition("=")
         key, rhs = key.strip(), rhs.strip()
+        if key in values:
+            raise ConfigError(f"config line {line_no}: repeated key {key!r}")
         try:
             if key in _INT_KEYS:
                 values[key] = int(rhs)
@@ -331,61 +346,91 @@ class CheckResult:
 
 
 class _Tally:
-    """The counters of one check, named once: every comparison, every
-    violation with its counterexample dump, and every skipped pair."""
+    """The counters of one check over some pairs, named once: every
+    comparison, every violation with its diagnosis, every pair tried and
+    skipped, and the counts its note templates read.
 
-    def __init__(self, name: str, sink: DumpSink) -> None:
+    Tallies of one check over consecutive chunks of pairs `merge` in
+    pair order; `result` then files the dumps and renders the notes, so
+    the report does not depend on how the pairs were chunked.  Only the
+    first `DumpSink.LIMIT` diagnoses are kept: the sink drops every dump
+    past that many, whichever check filed them.
+    """
+
+    def __init__(self, name: str, *notes: str, oracle: str = "",
+                 budget: int | None = None) -> None:
         self.name = name
-        self.sink = sink
-        self.comparisons = self.violations = self.skipped = 0
+        self.notes = notes  # templates over self.counts
+        self.oracle, self.budget = oracle, budget  # the oracle whose budget skips pairs
+        self.comparisons = self.violations = self.tried = self.skipped = 0
+        self.failures: list[tuple[CorpusInstance, dict]] = []
+        self.counts: Counter[str] = Counter()
 
     def compare(self, inst: CorpusInstance, failure: dict | None) -> None:
-        """Count one comparison; a non-empty `failure` is a dumped violation."""
+        """Count one comparison; a non-empty `failure` is a violation."""
         self.comparisons += 1
         if failure:
             self.violations += 1
-            self.sink.dump(self.name, inst, failure)
+            if len(self.failures) < DumpSink.LIMIT:
+                self.failures.append((inst, failure))
 
-    def result(self, *notes: str) -> CheckResult:
+    def merge(self, later: _Tally) -> None:
+        """Add the tally of the same check over the pairs that follow."""
+        self.comparisons += later.comparisons
+        self.violations += later.violations
+        self.tried += later.tried
+        self.skipped += later.skipped
+        self.failures += later.failures[:DumpSink.LIMIT - len(self.failures)]
+        self.counts.update(later.counts)
+
+    def result(self, sink: DumpSink) -> CheckResult:
+        for inst, failure in self.failures:
+            sink.dump(self.name, inst, failure)
+        # past the kept diagnoses the sink is full
+        sink.dropped += self.violations - len(self.failures)
+        notes = [template.format_map(self.counts) for template in self.notes]
+        if self.skipped:
+            notes.append(f"skipped {self.skipped}/{self.tried} pairs: the {self.oracle} "
+                         f"oracle exceeded its node budget of {self.budget}")
         return CheckResult(self.name, self.violations == 0, self.comparisons,
-                           self.violations, self.skipped, notes)
-
-
-def _budget_note(skipped: int, total: int, oracle: str, budget: int | None) -> tuple[str, ...]:
-    """The coverage note of a check whose oracle ran out of node budget."""
-    if not skipped:
-        return ()
-    return (f"skipped {skipped}/{total} pairs: the {oracle} oracle exceeded "
-            f"its node budget of {budget}",)
+                           self.violations, self.skipped, tuple(notes))
 
 
 class _RunCache:
-    """What the checks of one run share: each pair's exact alpha and its
-    bound report, each computed once.
+    """What the checks of one chunk of pairs share: each pair's exact
+    alpha and its partition, each computed once, and the bound reports.
 
     Alpha is keyed by uid.  Under a node budget its status depends on the
     vertex labelling, so isomorphic pairs must not share it.  Only the
     value is kept, None where the search overran the budget: the checks
-    read nothing else, and whole results would hold every pair's witness
-    for the run.
+    read nothing else.  The partition of a k >= 1 pair feeds both the
+    partition extractor and the partition check.
 
     The report is keyed by (n, s, k, sorted degree histogram), because
     `bound_report` reads nothing else of the hypergraph: e, delta and d
     follow from the histogram, and cps sums over its sorted items.  A hit
     is therefore the report a fresh call would build, the cps float
-    included.  The default corpus's 4,596 pairs have 620 keys; its 4,096
-    exhaustive pairs have 124.
+    included.  The report table can outlive the chunk: `run_verify`
+    passes each chunk the table of the process that runs it.  The
+    default corpus's 4,596 pairs have 620 keys; its 4,096 exhaustive
+    pairs have 124.
     """
 
-    def __init__(self, budget: int | None) -> None:
+    def __init__(self, budget: int | None, reports: dict | None = None) -> None:
         self.budget = budget
         self._alphas: dict[str, int | None] = {}
-        self._reports: dict[tuple, BoundReport] = {}
+        self._partitions: dict[str, Partition] = {}
+        self._reports: dict[tuple, BoundReport] = {} if reports is None else reports
 
     def alpha(self, inst: CorpusInstance) -> int | None:
         if inst.uid not in self._alphas:
             self._alphas[inst.uid] = alpha_k_exact(inst.h, inst.k, self.budget).value
         return self._alphas[inst.uid]
+
+    def partition(self, inst: CorpusInstance) -> Partition:
+        if inst.uid not in self._partitions:
+            self._partitions[inst.uid] = k_partition(inst.h, inst.k)
+        return self._partitions[inst.uid]
 
     def report(self, inst: CorpusInstance) -> BoundReport:
         h = inst.h
@@ -396,18 +441,16 @@ class _RunCache:
         return found
 
 
-def check_bound_soundness(
-    pairs: list[CorpusInstance],
-    sink: DumpSink,
-    cache: _RunCache,
-    fault_injection: str = "",
-) -> CheckResult:
+def check_bound_soundness(pairs: list[CorpusInstance], cache: _RunCache,
+                          cfg: VerifyConfig) -> _Tally:
     """ceil(bound) <= exact alpha for every applicable non-diagnostic
     bound on every pair; the diagnostic index variant is tallied in a
     note instead of failing."""
-    tally = _Tally("bound-soundness", sink)
-    diag_rows = diag_misses = 0
-    overclaim = fault_injection == "overclaim-bounds"
+    tally = _Tally("bound-soundness",
+                   "diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows",
+                   oracle="alpha", budget=cache.budget)
+    overclaim = cfg.fault_injection == "overclaim-bounds"
+    tally.tried = len(pairs)
     for inst in pairs:
         alpha = cache.alpha(inst)
         if alpha is None:
@@ -418,27 +461,28 @@ def check_bound_soundness(
                 continue
             ceiling = b.ceiled()
             if b.name in DIAGNOSTIC_BOUNDS:
-                diag_rows += 1
-                if ceiling > alpha:
-                    diag_misses += 1
+                tally.counts["diag_rows"] += 1
+                tally.counts["diag_misses"] += ceiling > alpha
                 continue
             if overclaim:
                 ceiling += 1
             tally.compare(inst, None if ceiling <= alpha else {
                 "bound": b.name, "value": b.value, "ceiled": ceiling, "alpha": alpha,
-                "fault_injection": fault_injection or None,
+                "fault_injection": cfg.fault_injection or None,
             })
-    return tally.result(
-        f"diagnostic caro_tuza_k_diag exceeded the oracle on {diag_misses}/{diag_rows} rows",
-        *_budget_note(tally.skipped, len(pairs), "alpha", cache.budget))
+    return tally
 
 
-def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink,
-                                 cache: _RunCache) -> CheckResult:
+def check_extraction_achievement(pairs: list[CorpusInstance], cache: _RunCache,
+                                 cfg: VerifyConfig) -> _Tally:
     """Every extractor reaches the size its originating bound promises."""
-    tally = _Tally("extraction-achievement", sink)
-    early_stops = full_phases = d_drop_misses = 0
-    stop_rows = stop_ok = 0
+    tally = _Tally(
+        "extraction-achievement",
+        "band phases: {full_phases} ran to the cap, {early_stops} stopped early",
+        "after full phases, remainder average degree left the band {d_drop_misses} times",
+        "early-stop class-count inequality held on {stop_ok}/{stop_rows} probed rows",
+    )
+    counts = tally.counts
     for inst in pairs:
         h, k = inst.h, inst.k
         report = cache.report(inst)
@@ -446,33 +490,29 @@ def check_extraction_achievement(pairs: list[CorpusInstance], sink: DumpSink,
         rows = [(greedy_peel(h, k), report.bound("edge_count").value, {}),
                 (band_peel(h, k, probe), report.bound("avg_degree").ceiled(), {"phases": probe})]
         if k >= 1:
-            rows.append((partition_extract(h, k), report.bound("max_degree").ceiled(), {}))
+            rows.append((partition_extract(h, k, cache.partition(inst)),
+                         report.bound("max_degree").ceiled(), {}))
         for res, target, extra in rows:
             tally.compare(inst, None if res.size >= target else {
                 "algorithm": res.algorithm, "size": res.size, "target": target, **extra,
             })
         for phase in probe:
             if phase["early_stop"]:
-                early_stops += 1
+                counts["early_stops"] += 1
                 if "stop_classes_ok" in phase:
-                    stop_rows += 1
-                    stop_ok += bool(phase["stop_classes_ok"])
+                    counts["stop_rows"] += 1
+                    counts["stop_ok"] += bool(phase["stop_classes_ok"])
             else:
-                full_phases += 1
-                if phase["remainder_d_ok"] is False:
-                    d_drop_misses += 1
-    return tally.result(
-        f"band phases: {full_phases} ran to the cap, {early_stops} stopped early",
-        f"after full phases, remainder average degree left the band {d_drop_misses} times",
-        f"early-stop class-count inequality held on {stop_ok}/{stop_rows} probed rows",
-    )
+                counts["full_phases"] += 1
+                counts["d_drop_misses"] += phase["remainder_d_ok"] is False
+    return tally
 
 
-def check_fg_properties(sink: DumpSink) -> CheckResult:
+def check_fg_properties() -> _Tally:
     """Exact identities of the two helper functions on a rational grid."""
     xs = sorted({Fraction(p, q) for p in range(0, 41) for q in range(1, 13)})
     fvals = {x: eval_f(x) for x in xs}
-    tally = _Tally("fg-properties", sink)
+    tally = _Tally("fg-properties")
     dummy = CorpusInstance("fg", Hypergraph(1, 2), 0, "grid")
     for x in xs:
         if x > 0:
@@ -503,15 +543,16 @@ def check_fg_properties(sink: DumpSink) -> CheckResult:
             held = 2 * fmid[0] * fad * fbd <= (fan * fbd + fbn * fad) * fmid[1]
             tally.compare(dummy, None if held else
                           {"property": "midpoint-convexity", "x1": a, "x2": b})
-    return tally.result()
+    return tally
 
 
-def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
+def check_replication(cfg: VerifyConfig) -> _Tally:
     """alpha and all per-vertex bound values are invariant under taking
     disjoint copies; alpha scales exactly by the copy count.  An instance
     whose alpha, or the alpha of a copy, overruns the node budget is
     skipped for the alpha comparisons; its bound comparisons still run."""
-    tally = _Tally("replication", sink)
+    tally = _Tally("replication", oracle="alpha", budget=cfg.alpha_budget)
+    tally.tried = cfg.replication_count
     for i in range(cfg.replication_count):
         inst = _draw_replication_instance(cfg, i)
         h, k = inst.h, inst.k
@@ -541,21 +582,21 @@ def check_replication(cfg: VerifyConfig, sink: DumpSink) -> CheckResult:
                 })
         if overran:
             tally.skipped += 1
-    return tally.result(*_budget_note(tally.skipped, cfg.replication_count, "alpha",
-                                      cfg.alpha_budget))
+    return tally
 
 
-def check_partition(pairs: list[CorpusInstance], sink: DumpSink,
-                    chi_budget: int | None) -> CheckResult:
+def check_partition(pairs: list[CorpusInstance], cache: _RunCache,
+                    cfg: VerifyConfig) -> _Tally:
     """Partition emits exactly ceil(delta/k) classes and at most e
     moves; the exact chi oracle never exceeds that class count where
     it completes."""
-    tally = _Tally("partition", sink)
+    tally = _Tally("partition", oracle="chi", budget=cfg.chi_budget)
     for inst in pairs:
         h, k = inst.h, inst.k
         if k < 1:
             continue
-        part = k_partition(h, k)
+        tally.tried += 1
+        part = cache.partition(inst)
         expected = max(1, -(-h.max_degree // k))
         problems = {}
         if len(part.classes) != expected:
@@ -563,41 +604,40 @@ def check_partition(pairs: list[CorpusInstance], sink: DumpSink,
         if len(part.moves) > h.e:
             problems["moves"] = [len(part.moves), h.e]
         tally.compare(inst, problems)
-        oracle = chi_k_exact(h, k, chi_budget)
+        oracle = chi_k_exact(h, k, cfg.chi_budget)
         if oracle.status != "exact":
             tally.skipped += 1
             continue
         tally.compare(inst, None if oracle.value <= expected else {
             "chi": oracle.value, "class_bound": expected,
         })
-    tried = sum(1 for inst in pairs if inst.k >= 1)
-    return tally.result(*_budget_note(tally.skipped, tried, "chi", chi_budget))
+    return tally
 
 
-def check_oracle_self_agreement(pairs: list[CorpusInstance], sink: DumpSink,
-                                cache: _RunCache) -> CheckResult:
+def check_oracle_self_agreement(pairs: list[CorpusInstance], cache: _RunCache,
+                                cfg: VerifyConfig) -> _Tally:
     """Pruned search equals the plain subset sweep wherever n <= 12."""
-    tally = _Tally("oracle-self-agreement", sink)
+    tally = _Tally("oracle-self-agreement", oracle="alpha", budget=cache.budget)
     for inst in pairs:
         if inst.h.n > 12:
             continue
+        tally.tried += 1
         alpha = cache.alpha(inst)
         if alpha is None:
             tally.skipped += 1
             continue
         sweep = alpha_k_bruteforce(inst.h, inst.k)
         tally.compare(inst, None if alpha == sweep else {"pruned": alpha, "sweep": sweep})
-    tried = sum(1 for inst in pairs if inst.h.n <= 12)
-    return tally.result(*_budget_note(tally.skipped, tried, "alpha", cache.budget))
+    return tally
 
 
-def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink,
-                        cache: _RunCache) -> CheckResult:
+def check_remark_regime(pairs: list[CorpusInstance], cache: _RunCache,
+                        cfg: VerifyConfig) -> _Tally:
     """Where k >= 1 and delta >= k(k+1), the simple average-degree bound
     is at least the max-degree bound; strictness whenever k does not
     divide delta is tallied, not asserted."""
-    tally = _Tally("remark-regime", sink)
-    strict_expected = strict_held = 0
+    tally = _Tally("remark-regime",
+                   "strict in {strict_held}/{strict_expected} rows with k not dividing delta")
     for inst in pairs:
         h, k = inst.h, inst.k
         if k < 1 or h.max_degree < k * (k + 1):
@@ -609,9 +649,32 @@ def check_remark_regime(pairs: list[CorpusInstance], sink: DumpSink,
             "avg_degree_simple": simple, "max_degree": degree,
         })
         if h.max_degree % k != 0:
-            strict_expected += 1
-            strict_held += simple > degree
-    return tally.result(f"strict in {strict_held}/{strict_expected} rows with k not dividing delta")
+            tally.counts["strict_expected"] += 1
+            tally.counts["strict_held"] += simple > degree
+    return tally
+
+
+# The checks that run on chunks of the corpus; fg-properties and
+# replication build their own instances and run as one task each.
+_PAIR_CHECKS = {
+    "bound-soundness": check_bound_soundness,
+    "extraction-achievement": check_extraction_achievement,
+    "partition": check_partition,
+    "oracle-self-agreement": check_oracle_self_agreement,
+    "remark-regime": check_remark_regime,
+}
+
+# Pairs per task: small enough that the processes finish close together,
+# large enough that a task's hand-off costs little against its work.
+_CHUNK = 128
+
+
+def _check_chunk(chunk: list[CorpusInstance], names: list[str], cfg: VerifyConfig,
+                 reports: dict) -> list[_Tally]:
+    """The named pair checks on one chunk, sharing one cache: each
+    pair's alpha and partition are computed once."""
+    cache = _RunCache(cfg.alpha_budget, reports)
+    return [_PAIR_CHECKS[name](chunk, cache, cfg) for name in names]
 
 
 @dataclass(frozen=True)
@@ -623,8 +686,9 @@ class VerifyOutcome:
 
 
 def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
-    """Build the corpus, run the configured checks, render the report.
-    A given `out_dir` replaces the config's `output_dir`."""
+    """Build the corpus, run the configured checks on every usable CPU,
+    render the report.  A given `out_dir` replaces the config's
+    `output_dir`."""
     if out_dir is not None:
         cfg = replace(cfg, output_dir=out_dir)
     exhaustive = build_exhaustive_corpus(cfg)
@@ -632,19 +696,26 @@ def run_verify(cfg: VerifyConfig, out_dir: str | None = None) -> VerifyOutcome:
     pairs = exhaustive + randoms
     if not pairs:
         raise ConfigError("no instances in corpus")
+    names = [name for name in CHECK_ORDER if name in cfg.checks]
+    on_pairs = [name for name in names if name in _PAIR_CHECKS]
+    tasks = []
+    if "fg-properties" in names:
+        tasks.append(lambda: [check_fg_properties()])
+    if "replication" in names:
+        tasks.append(lambda: [check_replication(cfg)])
+    if on_pairs:
+        reports: dict = {}  # each process fills its own copy
+        tasks += [partial(_check_chunk, pairs[i:i + _CHUNK], on_pairs, cfg, reports)
+                  for i in range(0, len(pairs), _CHUNK)]
+    tallies: dict[str, _Tally] = {}
+    for task_tallies in fan_out(tasks):
+        for tally in task_tallies:
+            if tally.name in tallies:
+                tallies[tally.name].merge(tally)
+            else:
+                tallies[tally.name] = tally
     sink = DumpSink(cfg.output_dir)
-    cache = _RunCache(cfg.alpha_budget)
-    runners = {
-        "bound-soundness": lambda: check_bound_soundness(pairs, sink, cache,
-                                                         cfg.fault_injection),
-        "extraction-achievement": lambda: check_extraction_achievement(pairs, sink, cache),
-        "fg-properties": lambda: check_fg_properties(sink),
-        "replication": lambda: check_replication(cfg, sink),
-        "partition": lambda: check_partition(pairs, sink, cfg.chi_budget),
-        "oracle-self-agreement": lambda: check_oracle_self_agreement(pairs, sink, cache),
-        "remark-regime": lambda: check_remark_regime(pairs, sink, cache),
-    }
-    results = [runners[name]() for name in CHECK_ORDER if name in cfg.checks]
+    results = [tallies[name].result(sink) for name in names]
     passed = all(r.passed for r in results)
     lines = [f"corpus: {len(exhaustive)} exhaustive pairs, {len(randoms)} random pairs"]
     for r in results:

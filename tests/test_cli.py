@@ -6,14 +6,17 @@ confirms the installed entry point wires up to the same main.
 
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from kindep import ExtractionDefect, gen_complete, gen_random_uniform, write_hg
-from kindep import extract
+from kindep import cli, extract, parallel, verify
 from kindep.cli import main
 
 K4_TEXT = write_hg(gen_complete(4, 3))
@@ -436,3 +439,69 @@ def test_installed_entry_point(k4_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 3
+
+
+def _in_workers(monkeypatch, fault):
+    """Run the extractors' re-check as `fault` in forked workers only, on
+    the pooled path with small tasks; this process runs its tasks slowly,
+    so that the workers do take some."""
+    parent, real = os.getpid(), extract._finalize
+
+    def finalize(*args):
+        if os.getpid() != parent:
+            return fault()
+        time.sleep(0.002)
+        return real(*args)
+    monkeypatch.setattr(extract, "_finalize", finalize)
+    monkeypatch.setattr(parallel, "_workers", lambda: 2)
+    monkeypatch.setattr(verify, "_CHUNK", 2)
+    monkeypatch.setattr(cli, "_CHUNK", 1)
+
+
+def _pool_argv(tmp_path, command):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG + "checks = extraction-achievement\n")
+    return [command, "--config", str(cfg_path)] + (
+        ["--output", str(tmp_path / "out")] if command == "verify" else [])
+
+
+def _raise(exc):
+    def fault():
+        raise exc
+    return fault
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("exc, exit_code, message", [
+    (ExtractionDefect("planted"), 1, "defect: planted\n"),
+    (ValueError("planted"), 2, "error: planted\n"),
+    (OSError("planted"), 2, "error: planted\n"),
+], ids=["defect", "value-error", "os-error"])
+def test_worker_exception_keeps_its_exit_code(tmp_path, monkeypatch, capsys, command, exc,
+                                              exit_code, message):
+    _in_workers(monkeypatch, _raise(exc))
+    code, out, err = run_cli(capsys, *_pool_argv(tmp_path, command))
+    assert multiprocessing.active_children() == []
+    assert (code, out, err) == (exit_code, "", message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_dead_worker_exits_2(tmp_path, monkeypatch, capsys, command):
+    _in_workers(monkeypatch, lambda: os._exit(3))
+    code, out, err = run_cli(capsys, *_pool_argv(tmp_path, command))
+    assert multiprocessing.active_children() == []
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+
+
+def test_compare_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "compare.cfg"
+    cfg_path.write_text("exhaustive_n = 4\nrandom_count = 20\nmaster_seed = 3\n")
+    monkeypatch.setattr(parallel, "_workers", lambda: 1)
+    one = run_cli(capsys, "compare", "--config", str(cfg_path))
+    monkeypatch.setattr(parallel, "_workers", lambda: 2)
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    two = run_cli(capsys, "compare", "--config", str(cfg_path))
+    assert multiprocessing.active_children() == []
+    assert one[0] == 0 and two == one

@@ -165,6 +165,12 @@ def test_partition_extract_complete(k4):
     assert res.trace == ()
 
 
+def test_partition_extract_from_a_held_partition():
+    for h in sweep_instances():
+        for k in (1, 2):
+            assert partition_extract(h, k, k_partition(h, k)) == partition_extract(h, k)
+
+
 def test_best_extract_dominates_and_is_maximal(k4):
     for h in list(sweep_instances()) + [k4]:
         for k in range(3):

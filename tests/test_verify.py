@@ -6,13 +6,14 @@ a small configuration keeps the feedback loop fast.
 """
 
 import json
+import multiprocessing
 import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from kindep import verify
+from kindep import parallel, verify
 from kindep import (
     CHECK_ORDER,
     ConfigError,
@@ -81,6 +82,8 @@ def test_config_overrides_and_comments():
         ("exhaustive_k = 0,-1\n", "exhaustive_k must list k values >= 0"),
         # only the replication sample reads random_k here
         ("random_count = 0\nrandom_k = -1\n", "random_k must list k values >= 0"),
+        ("checks =\n", "checks must name at least one check"),
+        ("random_count = 5\nrandom_count = 7\n", "config line 2: repeated key 'random_count'"),
     ],
 )
 def test_config_rejections(text, fragment):
@@ -309,3 +312,25 @@ def test_faulted_check_files_its_dumps(tmp_path, monkeypatch, check, name, fault
         assert lines[-2] == (f"note: 16 counterexample dumps written, {dropped} "
                              f"dropped at the cap of 16")
     assert lines[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(SMALL, fault_injection="overclaim-bounds"),
+    replace(SMALL, alpha_budget=2, chi_budget=2),
+], ids=["overclaim", "budget-starved"])
+def test_report_and_dumps_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cfg):
+    monkeypatch.setattr(parallel, "_workers", lambda: 1)
+    one = run_verify(cfg, out_dir=str(tmp_path / "one"))
+    monkeypatch.setattr(parallel, "_workers", lambda: 2)
+    # chunks that straddle the exhaustive/random boundary, each with many violations
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    two = run_verify(cfg, out_dir=str(tmp_path / "two"))
+    assert multiprocessing.active_children() == []
+    assert two.report_text == one.report_text
+    assert two.checks == one.checks
+    assert two.dumps == one.dumps
+
+    def files(name):
+        folder = tmp_path / name
+        return {p.name: p.read_bytes() for p in folder.iterdir()} if folder.exists() else {}
+    assert files("two") == files("one")
