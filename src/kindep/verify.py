@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -135,6 +136,9 @@ class VerifyConfig:
             raise ConfigError("exhaustive corpus needs 2 <= s <= n")
         if self.exhaustive_n and self.exhaustive_n > 7:
             raise ConfigError("exhaustive corpus beyond n = 7 is intractable")
+        for key in ("random_count", "replication_count"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative")
         if self.random_count:
             if self.random_n_min > self.random_n_max:
                 raise ConfigError("random_n_min exceeds random_n_max")
@@ -270,17 +274,24 @@ def _draw_replication_instance(cfg: VerifyConfig, i: int) -> CorpusInstance:
 
 
 def corpus_instance(cfg: VerifyConfig, uid: str) -> CorpusInstance:
-    """Rebuild any corpus instance from its uid (reproducibility hook)."""
-    if uid.startswith("x"):
-        idx_part, _, k_part = uid[1:].partition("k")
-        index, k = int(idx_part), int(k_part)
-        slots = gen_complete(cfg.exhaustive_n, cfg.exhaustive_s).edges
-        return CorpusInstance(uid, _exhaustive_graph(cfg, slots, index), k, "exhaustive")
-    if uid.startswith("r"):
-        return _draw_random_instance(cfg, int(uid[1:]))
-    if uid.startswith("p"):
-        return _draw_replication_instance(cfg, int(uid[1:]))
-    raise ConfigError(f"unrecognized instance uid {uid!r}")
+    """Rebuild any corpus instance from its uid (reproducibility hook).
+    A uid that names no instance of `cfg`'s corpus raises `ConfigError`."""
+    match = re.fullmatch(r"x(0|[1-9][0-9]*)k(0|[1-9][0-9]*)|([rp])(0|[1-9][0-9]*)", uid)
+    if match is None:
+        raise ConfigError(f"unrecognized instance uid {uid!r}")
+    if match[3]:
+        key, draw = (("random_count", _draw_random_instance) if match[3] == "r"
+                     else ("replication_count", _draw_replication_instance))
+        if int(match[4]) >= getattr(cfg, key):
+            raise ConfigError(f"instance uid {uid!r} is beyond {key} = {getattr(cfg, key)}")
+        return draw(cfg, int(match[4]))
+    index, k = int(match[1]), int(match[2])
+    slots = gen_complete(cfg.exhaustive_n, cfg.exhaustive_s).edges if cfg.exhaustive_n else ()
+    if not cfg.exhaustive_n or index >= 1 << len(slots):
+        raise ConfigError(f"instance uid {uid!r} is beyond the exhaustive corpus")
+    if k not in cfg.exhaustive_k:
+        raise ConfigError(f"instance uid {uid!r} has k = {k}, not in exhaustive_k")
+    return CorpusInstance(uid, _exhaustive_graph(cfg, slots, index), k, "exhaustive")
 
 
 def _plain(obj: object) -> object:

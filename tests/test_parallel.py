@@ -23,8 +23,21 @@ def test_results_come_back_in_task_order(monkeypatch, workers):
     assert multiprocessing.active_children() == []
     assert [index for index, _ in results] == list(range(8))
     pids = {pid for _, pid in results}
-    assert os.getpid() in pids  # the parent is one of the processes
+    assert (os.getpid() in pids) == (workers == 1)  # the parent runs tasks only serially
     assert len(pids) == workers
+
+
+def _sleep_then_index(count, index):
+    time.sleep(0.04 * (count - index))  # later tasks finish first
+    return index
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_results_keep_task_order_when_later_tasks_finish_first(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_workers", lambda: workers)
+    results = parallel.fan_out([partial(_sleep_then_index, 6, i) for i in range(6)])
+    assert results == list(range(6))
+    assert multiprocessing.active_children() == []
 
 
 def test_no_task_is_no_work(monkeypatch):
@@ -60,4 +73,4 @@ def test_each_task_runs_exactly_once_with_more_processes_than_cores(monkeypatch)
     assert time.perf_counter() - start < 60
     assert multiprocessing.active_children() == []
     assert results == list(range(400))
-    assert counter.value == 400  # a task claimed twice would count twice
+    assert counter.value == 400  # a task run twice would count twice

@@ -84,6 +84,8 @@ def test_config_overrides_and_comments():
         ("random_count = 0\nrandom_k = -1\n", "random_k must list k values >= 0"),
         ("checks =\n", "checks must name at least one check"),
         ("random_count = 5\nrandom_count = 7\n", "config line 2: repeated key 'random_count'"),
+        ("random_count = -3\n", "random_count must be nonnegative"),
+        ("replication_count = -2\n", "replication_count must be nonnegative"),
     ],
 )
 def test_config_rejections(text, fragment):
@@ -126,6 +128,31 @@ def test_every_uid_reconstructs():
     assert 4 <= repl.h.n <= 6
     with pytest.raises(ConfigError):
         corpus_instance(SMALL, "q7")
+
+
+@pytest.mark.parametrize(
+    "uid, fragment",
+    [
+        ("x16k0", "beyond the exhaustive corpus"),  # SMALL has 2^4 exhaustive graphs
+        ("x99999999k0", "beyond the exhaustive corpus"),
+        ("x5k9", "k = 9, not in exhaustive_k"),
+        ("r30", "beyond random_count = 30"),
+        ("p5", "beyond replication_count = 5"),
+        ("x12", "unrecognized"),
+        ("r-1", "unrecognized"),
+        ("r07", "unrecognized"),
+        ("x1k1r", "unrecognized"),
+    ],
+)
+def test_uid_outside_the_corpus_is_rejected(uid, fragment):
+    with pytest.raises(ConfigError, match=fragment) as raised:
+        corpus_instance(SMALL, uid)
+    assert repr(uid) in str(raised.value)
+
+
+def test_no_exhaustive_uid_without_an_exhaustive_corpus():
+    with pytest.raises(ConfigError, match="beyond the exhaustive corpus"):
+        corpus_instance(replace(SMALL, exhaustive_n=0), "x0k0")
 
 
 def test_small_run_passes(small_outcome):
