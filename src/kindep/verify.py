@@ -282,9 +282,10 @@ def corpus_instance(cfg: VerifyConfig, uid: str) -> CorpusInstance:
     if match[3]:
         key, draw = (("random_count", _draw_random_instance) if match[3] == "r"
                      else ("replication_count", _draw_replication_instance))
-        if int(match[4]) >= getattr(cfg, key):
-            raise ConfigError(f"instance uid {uid!r} is beyond {key} = {getattr(cfg, key)}")
-        return draw(cfg, int(match[4]))
+        index, count = int(match[4]), getattr(cfg, key)
+        if index >= count:
+            raise ConfigError(f"instance uid {uid!r} is beyond {key} = {count}")
+        return draw(cfg, index)
     index, k = int(match[1]), int(match[2])
     slots = gen_complete(cfg.exhaustive_n, cfg.exhaustive_s).edges if cfg.exhaustive_n else ()
     if not cfg.exhaustive_n or index >= 1 << len(slots):
