@@ -363,10 +363,13 @@ def test_verify_help_names_dump_directory_and_both_budgets(capsys):
 
 def test_verify_bad_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("no_such_key = 3\n")
-    code, _, err = run_cli(capsys, "verify", "--config", str(cfg_path))
-    assert code == 2
-    assert "unknown key" in err
+    for text, fragment in [("no_such_key = 3\n", "unknown key"),
+                           ("random_count = -1\n", "error: random_count must be nonnegative")]:
+        cfg_path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert fragment in err
 
 
 def test_verify_empty_output_exits_2_before_any_check(capsys):

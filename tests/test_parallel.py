@@ -11,33 +11,22 @@ import pytest
 from kindep import parallel
 
 
-def _slow_pid(index):
-    time.sleep(0.05)  # long enough for every worker to take tasks from the front
+def _slow_pid(index, delay=0.05):
+    time.sleep(delay)  # long enough for every worker to take tasks from the front
     return index, os.getpid()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_results_come_back_in_task_order(monkeypatch, workers):
     monkeypatch.setattr(parallel, "_workers", lambda: workers)
-    results = parallel.fan_out([partial(_slow_pid, i) for i in range(8)])
-    assert multiprocessing.active_children() == []
-    assert [index for index, _ in results] == list(range(8))
-    pids = {pid for _, pid in results}
-    assert (os.getpid() in pids) == (workers == 1)  # the parent runs tasks only serially
-    assert len(pids) == workers
-
-
-def _sleep_then_index(count, index):
-    time.sleep(0.04 * (count - index))  # later tasks finish first
-    return index
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_results_keep_task_order_when_later_tasks_finish_first(monkeypatch, workers):
-    monkeypatch.setattr(parallel, "_workers", lambda: workers)
-    results = parallel.fan_out([partial(_sleep_then_index, 6, i) for i in range(6)])
-    assert results == list(range(6))
-    assert multiprocessing.active_children() == []
+    # even delays, then early tasks sleeping longest so that later ones finish first
+    for delays in ([0.05] * 8, [0.04 * (8 - i) for i in range(8)]):
+        results = parallel.fan_out([partial(_slow_pid, i, delay) for i, delay in enumerate(delays)])
+        assert multiprocessing.active_children() == []
+        assert [index for index, _ in results] == list(range(8))
+        pids = {pid for _, pid in results}
+        assert os.getpid() in pids  # the parent is one of the processes
+        assert len(pids) == workers
 
 
 def test_no_task_is_no_work(monkeypatch):
@@ -73,4 +62,4 @@ def test_each_task_runs_exactly_once_with_more_processes_than_cores(monkeypatch)
     assert time.perf_counter() - start < 60
     assert multiprocessing.active_children() == []
     assert results == list(range(400))
-    assert counter.value == 400  # a task run twice would count twice
+    assert counter.value == 400  # a task claimed twice would count twice
