@@ -11,7 +11,8 @@ induced degree into one int, so an alpha node costs one mask test per
 edge through its dropped vertex and one big-int subtraction per live
 one, one subtraction and mask per degree level it tries for its
 violator, and O(1) to snapshot or restore the degrees; children cut on
-entry still count in `nodes` but cost O(1) as a group.  On a graph
+entry still count in `nodes` but cost O(1) as a group.  The alpha root
+has no incumbent: the first descent is the greedy peel.  On a graph
 (s = 2) a chi node costs three mask operations per class tried and
 O(k) for the class it accepts; for s >= 3 it costs O(s * deg v) per
 class tried, and keeps one degree per vertex, inside its own class.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from kindep.extract import _PeelState
 from kindep.hypergraph import Hypergraph
 
 
@@ -117,36 +117,31 @@ def alpha_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Orac
     The path from the root is an explicit stack of branching frames
     (candidate mask, size, saved degrees, pending children, required
     mask, current child, maximum degree), so a deep search is bounded
-    by memory, not by the interpreter's recursion limit.  The per-vertex lists are built
-    only when the greedy seed leaves the root something to search.
+    by memory, not by the interpreter's recursion limit.  The root has
+    no incumbent: a node enters its worst violator's child first, so the
+    first descent is the greedy peel, and no extractor code runs.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     start = time.perf_counter()
-    # incumbent: the greedy peel's survivors
-    seed = _PeelState(h)
-    seed.peel(k + 1)
-    best_mask = sum(1 << v for v in seed.survivors())
-    best = seed.n_alive
-    spent = 1  # the root
-    if h.n > best and (node_budget is None or spent <= node_budget):
-        best, best_mask, spent = _alpha_search(h, k, best, best_mask, node_budget)
+    best, best_mask, spent = _alpha_search(h, k, node_budget)
     if node_budget is not None and spent > node_budget:
         # the count stops at the first node past the budget
         return OracleResult("alpha_k", k, None, "budget_exceeded", None,
-                            max(node_budget, 0) + 1, time.perf_counter() - start)
+                            node_budget + 1, time.perf_counter() - start)
     return OracleResult("alpha_k", k, best, "exact", _mask_to_vertices(best_mask),
                         spent, time.perf_counter() - start)
 
 
-def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
-                  limit: int | None) -> tuple[int, int, int]:
-    """`alpha_k_exact` below its root, from the incumbent (best,
-    best_mask): returns the final incumbent and the node count, root
-    included.  The count is checked against `limit` only as a node is
-    entered, so a search that overruns stops with a count past `limit`
-    no later than its next entered node.  The innermost branching frame
-    lives in local variables and its ancestors on `stack`.
+def _alpha_search(h: Hypergraph, k: int, limit: int | None) -> tuple[int, int, int]:
+    """`alpha_k_exact` from its root, where there is no incumbent and
+    the first descent is the greedy peel: returns the final incumbent
+    and the node count, root included.  The count is checked against
+    `limit` only as a child is entered, so an overrun stops with a count
+    past `limit` no later than its next entered node.  The innermost
+    frame lives in local variables, its ancestors on `stack`.
     """
     n = h.n
     top = max(h.degrees)
@@ -166,7 +161,8 @@ def _alpha_search(h: Hypergraph, k: int, best: int, best_mask: int,
     # iff deg(v) >= t: no field borrows, since t <= top < guard
     floor = [t * ones for t in range(top + 1)]
     packed = guards + sum(d * unit[v] for v, d in enumerate(h.degrees))
-    spent = 1  # the root, counted by the caller
+    best = best_mask = 0
+    spent = 1  # the root
     stack: list[tuple[int, int, int, int, int, int, int]] = []
     # innermost frame; these zeros stand for "no frame", and the search
     # ends when it would resume them.  ftop is the frame's maximum
@@ -422,6 +418,8 @@ def chi_k_exact(h: Hypergraph, k: int, node_budget: int | None = None) -> Oracle
     """
     if k < 1:
         raise ValueError(f"the partition oracle needs k >= 1, got {k}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     start = time.perf_counter()
     if h.s == 2:
         lower = [0] * h.n

@@ -136,7 +136,7 @@ class VerifyConfig:
             raise ConfigError("exhaustive corpus needs 2 <= s <= n")
         if self.exhaustive_n and self.exhaustive_n > 7:
             raise ConfigError("exhaustive corpus beyond n = 7 is intractable")
-        for key in ("random_count", "replication_count"):
+        for key in ("master_seed", "random_count", "replication_count"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be nonnegative")
         if self.random_count:

@@ -249,6 +249,14 @@ def test_exact_alpha_beyond_64_vertices(tmp_path, capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["status"], doc["value"], doc["nodes"]) == ("exact", 70, 30124)
+    # one node short of the search overruns; its exact size completes it
+    for budget, expected in ((30123, ("budget_exceeded", None, 30124)),
+                             (30124, ("exact", 70, 30124))):
+        code, out, err = run_cli(capsys, "exact", str(path), "-k", "1",
+                                 "--budget", str(budget))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["status"], doc["value"], doc["nodes"]) == expected
 
 
 def test_exact_budget_exceeded_is_not_an_error(tmp_path, capsys):

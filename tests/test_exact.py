@@ -6,8 +6,12 @@ re-verified through the public k-independence predicate rather than
 trusted.
 """
 
+import ast
+import inspect
+
 import pytest
 
+import kindep.exact
 from kindep import (
     Hypergraph,
     alpha_k_bruteforce,
@@ -54,7 +58,7 @@ def test_alpha_trivial_shapes():
     for k in range(3):
         res = alpha_k_exact(empty, k)
         assert res.value == 6
-        assert res.nodes == 1  # the greedy seed is optimal: only the root counts
+        assert res.nodes == 1  # the root has no violator: only the root counts
     one_edge = Hypergraph(4, 4, ((0, 1, 2, 3),))
     assert alpha_k_exact(one_edge, 0).value == 3
     assert alpha_k_exact(one_edge, 1).value == 4
@@ -114,6 +118,8 @@ def test_alpha_budget_exceeded():
 def test_alpha_argument_guards(k4):
     with pytest.raises(ValueError):
         alpha_k_exact(k4, -1)
+    with pytest.raises(ValueError, match="node budget must be nonnegative, got -5"):
+        alpha_k_exact(k4, 1, -5)
     # no cap on n: an edgeless 65-vertex graph is solved at the root
     res = alpha_k_exact(Hypergraph(65, 2), 0)
     assert (res.status, res.value, res.nodes) == ("exact", 65, 1)
@@ -158,6 +164,8 @@ def test_chi_trivial_and_guards(k4):
     assert chi_k_exact(Hypergraph(5, 3), 1).value == 1
     with pytest.raises(ValueError):
         chi_k_exact(k4, 0)
+    with pytest.raises(ValueError, match="node budget must be nonnegative, got -5"):
+        chi_k_exact(k4, 1, -5)
 
 
 def test_chi_pinned_on_a_dense_graph():
@@ -222,3 +230,20 @@ def test_result_json_shape(k4):
     exceeded = alpha_k_exact(gen_complete(7, 3), 1, node_budget=1).to_json_dict()
     assert exceeded["status"] == "budget_exceeded"
     assert exceeded["value"] is None and exceeded["witness"] is None
+
+
+def test_oracles_import_no_kindep_module_but_hypergraph():
+    # the ground truth must not depend on the extractors it checks
+    modules = set()
+    for node in ast.walk(ast.parse(inspect.getsource(kindep.exact))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "kindep." * bool(node.level) + (node.module or "")
+            if base.rstrip(".") == "kindep":
+                # `from kindep import x` and `from . import x` load the
+                # package, which imports the extractors
+                modules.update(f"kindep.{alias.name}" for alias in node.names)
+            else:
+                modules.add(base)
+    assert {m for m in modules if m.split(".")[0] == "kindep"} == {"kindep.hypergraph"}

@@ -86,6 +86,7 @@ def test_config_overrides_and_comments():
         ("random_count = 5\nrandom_count = 7\n", "config line 2: repeated key 'random_count'"),
         ("random_count = -3\n", "random_count must be nonnegative"),
         ("replication_count = -2\n", "replication_count must be nonnegative"),
+        ("master_seed = -1\n", "master_seed must be nonnegative"),
     ],
 )
 def test_config_rejections(text, fragment):
