@@ -249,7 +249,7 @@ def test_exact_alpha_beyond_64_vertices(tmp_path, capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["status"], doc["value"], doc["nodes"]) == ("exact", 70, 30124)
-    # one node short of the search overruns; its exact size completes it
+    # a budget one node short overruns, and the search's own count completes
     for budget, expected in ((30123, ("budget_exceeded", None, 30124)),
                              (30124, ("exact", 70, 30124))):
         code, out, err = run_cli(capsys, "exact", str(path), "-k", "1",
