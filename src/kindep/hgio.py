@@ -7,17 +7,28 @@ Layout, one record per line:
     e <v1> <v2> ... <vs>
 
 The problem line appears exactly once and is followed by exactly m edge
-lines.  Vertex ids are 1-based in the file and 0-based in memory.  The
-writer emits edges lexicographically sorted with strictly increasing ids
-inside each edge, LF line endings, and no trailing whitespace, so equal
-hypergraphs always serialize to identical bytes.
+lines.  Vertex ids are 1-based in the file and 0-based in memory, and
+every number is written in ASCII decimal digits: a sign, an underscore
+or any other spelling that int() would accept is a non-integer field.
+The writer emits edges lexicographically sorted with strictly increasing
+ids inside each edge, LF line endings, and no trailing whitespace, so
+equal hypergraphs always serialize to identical bytes.  It refuses a
+comment that holds a line break, which would read back as more lines
+than one.
+
+The reader takes the writer's layout (comment lines first, then the
+problem line, then the edge lines with single spaces and LF endings)
+as one block: one split tokenizes every edge line at C speed.  Any
+other text, and every text with a fault, goes through a loop over the
+lines, which reads comments and blank lines anywhere, any padding and
+any line endings, and names the line of each fault.
 """
 
 from __future__ import annotations
 
 import os
 
-from kindep.hypergraph import Hypergraph, HypergraphError
+from kindep.hypergraph import Hypergraph, HypergraphError, _from_int_columns
 
 
 class HgParseError(HypergraphError):
@@ -28,15 +39,24 @@ class HgParseError(HypergraphError):
         self.line_no = line_no
 
 
+def _decimal(field: str) -> int:
+    """The value of a field of ASCII decimal digits; ValueError for any
+    other field, even one that int() reads, such as "+1", "1_0" or
+    non-ASCII digits."""
+    if field.isascii() and field.isdigit():
+        return int(field)
+    raise ValueError(f"not a decimal field: {field!r}")
+
+
 class _VertexIds(dict):
     """Memo from an id field's text to its 0-based vertex id.
 
     A file names each vertex many times, so each distinct field is
-    converted by int() once and every edge shares the resulting ints.
+    converted once and every edge shares the resulting ints.
     """
 
     def __missing__(self, field: str) -> int:
-        v = self[field] = int(field) - 1
+        v = self[field] = _decimal(field) - 1
         return v
 
 
@@ -62,21 +82,95 @@ def _first_fault(edges: list[tuple[int, ...]], lines: list[str], n: int) -> HgPa
     return None
 
 
+# ASCII whitespace other than space and LF; str.splitlines breaks a line
+# at every one of these but the tab and \x1f
+_FOREIGN_WHITESPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text into a canonical Hypergraph.
 
     Comment lines and blank lines are skipped.  Out-of-order vertex ids
     within an edge line are tolerated and canonicalized; duplicate ids,
-    wrong arity, out-of-range ids, and duplicate edges are errors.
+    wrong arity, out-of-range ids, non-decimal ids and duplicate edges
+    are errors.
+
+    A text in the writer's layout is read as one block by
+    `_parse_block`.  Every other text, and every text the block path
+    finds a fault in, goes through `_parse_lines`, which raises each
+    error with its line.
+    """
+    h = _parse_block(text)
+    return _parse_lines(text) if h is None else h
+
+
+def _parse_block(text: str) -> Hypergraph | None:
+    """The hypergraph of a faultless text in the writer's layout, or None.
+
+    The layout is ASCII with no whitespace but spaces and LFs: lines
+    that start with "c", the problem line "p hyp <n> <m> <s>", then m
+    lines "e <v1> ... <vs>" with single spaces; the last LF may be
+    missing.  Counts check it whole: the edge block holds m*s spaces,
+    m - 1 LFs before its end and no "e" after a space, so each of its
+    lines starts with "e"; one split gives m*(s+1) tokens with "e" at
+    every (s+1)-th.  The ids then go through the decimal memo, the
+    edges are zipped from the flat id list, and the hypergraph is built
+    from columns sliced out of it.  Any miss returns None and leaves the
+    text, and the diagnosis of any fault, to `_parse_lines`.
+    """
+    if not text.isascii() or any(c in text for c in _FOREIGN_WHITESPACE):
+        return None
+    start = 0
+    while text.startswith("c", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    fields = text[start:end].split(" ")
+    if len(fields) != 5 or fields[:2] != ["p", "hyp"]:
+        return None
+    try:
+        n, m, s = map(_decimal, fields[2:])
+    except ValueError:
+        return None
+    if n < 1 or s < 2:
+        return None
+    block = text[end + 1:]
+    if not block:
+        return Hypergraph(n, s) if m == 0 else None
+    if (block.count(" ") != m * s or " e" in block
+            or block.count("\n") != m - 1 + block.endswith("\n")):
+        return None
+    tokens = block.split()
+    del block  # the token list is the peak of a parse: hold nothing else beside it
+    step = s + 1
+    if len(tokens) != m * step or tokens[::step].count("e") != m:
+        return None
+    del tokens[::step]
+    try:
+        ids = list(map(_VertexIds().__getitem__, tokens))
+    except ValueError:
+        return None
+    del tokens
+    edges = tuple(zip(*[iter(ids)] * s))  # each run of s ids
+    try:
+        return _from_int_columns(n, s, edges, [ids[j::s] for j in range(s)])
+    except HypergraphError:
+        return None
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """Parse .hg text of any layout line by line, raising the first fault.
 
     One pass over the lines tokenizes each edge line, converts its ids
     and checks its arity.  Everything else about the edges is left to
     the Hypergraph constructor, whose one linear check accepts a
-    canonical file (everything `write_hg` writes) without sorting or
-    hashing an edge, and canonicalizes any other.  Only when a fault
-    turns up are the edges walked again in file order, so that the
-    error names the first faulty line exactly as a line-by-line check
-    would.
+    canonical edge list without sorting or hashing an edge, and
+    canonicalizes any other.  Only when a fault turns up are the edges
+    walked again in file order, so that the error names the first
+    faulty line exactly as a line-by-line check would.
     """
     n = m = s = -1
     header_line = 0
@@ -108,10 +202,10 @@ def parse_hg(text: str) -> Hypergraph:
                 if len(fields) != 5 or fields[1] != "hyp":
                     raise HgParseError(line_no, f"malformed problem line {line!r}, expected 'p hyp <n> <m> <s>'")
                 try:
-                    n, m, s = (int(f) for f in fields[2:])
+                    n, m, s = map(_decimal, fields[2:])
                 except ValueError:
                     raise HgParseError(line_no, f"non-integer field in problem line {line!r}") from None
-                if n < 1 or m < 0 or s < 2:
+                if n < 1 or s < 2:
                     raise HgParseError(line_no, f"problem line values out of range: n={n} m={m} s={s}")
                 header_line = line_no
             elif not tag.startswith("c"):
@@ -131,12 +225,21 @@ def parse_hg(text: str) -> Hypergraph:
 
 
 def write_hg(h: Hypergraph, comments: tuple[str, ...] = ()) -> str:
-    """Serialize to canonical .hg text (terminated by a final LF)."""
+    """Serialize to canonical .hg text (terminated by a final LF).
+
+    A comment that holds any character str.splitlines breaks a line at
+    raises ValueError: it would read back as more than one line.
+    """
+    for c in comments:
+        if "".join(c.splitlines()) != c:
+            raise ValueError(f"comment {c!r} holds a line break")
     lines = [f"c {c}".rstrip() for c in comments]
     lines.append(f"p hyp {h.n} {h.e} {h.s}")
-    # edges are already canonically sorted on the value itself
-    for edge in h.edges:
-        lines.append("e " + " ".join(str(v + 1) for v in edge))
+    if h.edges:
+        # edges are already canonically sorted on the value itself
+        names = [str(v) for v in range(1, h.n + 1)]
+        columns = (map(names.__getitem__, col) for col in zip(*h.edges))
+        lines += map(("e" + " {}" * h.s).format, *columns)
     return "\n".join(lines) + "\n"
 
 

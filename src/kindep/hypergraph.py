@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import lt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class HypergraphError(ValueError):
@@ -46,27 +46,39 @@ def _is_canonical(edges: object, n: int, s: int) -> bool:
 
     That is a tuple of int tuples, each of length s and strictly
     increasing inside [0, n), the list itself strictly increasing.  The
-    checks run over whole columns at C speed and the order checks come
-    first, stopping at the first pair out of order, so a scrambled input
-    costs little more than the canonicalizing loop it falls back to.  A
-    comparison that raises TypeError also means "not canonical", and the
-    loop then reports the input's fault itself.
+    checks run over whole columns at C speed: the type and length sets
+    first, then `_in_canonical_order`, which stops at the first pair out
+    of order, so a scrambled input costs little more than the
+    canonicalizing loop it falls back to.  A comparison that raises
+    TypeError also means "not canonical", and the loop then reports the
+    input's fault itself.
     """
     if type(edges) is not tuple:
         return False
     if not edges:
         return True
     try:
-        if not all(map(lt, edges, edges[1:])):
-            return False
-        cols = tuple(zip(*edges))
-        if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
-            return False
         return (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {s}
-                and set(map(type, chain.from_iterable(cols))) == {int}
-                and edges[0][0] >= 0 and max(cols[-1]) < n)
+                and _in_canonical_order(edges, n)
+                and set(map(type, chain.from_iterable(edges))) == {int})
     except TypeError:
         return False
+
+
+def _in_canonical_order(edges: tuple, n: int, cols: Sequence[Sequence[int]] | None = None) -> bool:
+    """True when the edge list is strictly increasing, so is each edge,
+    and every id lies in [0, n): the order and range half of the
+    canonical form, for a nonempty tuple of equal-length edges.
+
+    The edges are compared first; `cols` are the edges' columns, built
+    here from the edges unless the caller already holds them.
+    """
+    if not all(map(lt, edges, edges[1:])):
+        return False
+    if cols is None:
+        cols = tuple(zip(*edges))
+    return (all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and edges[0][0] >= 0 and max(cols[-1]) < n)
 
 
 @dataclass(frozen=True)
@@ -102,8 +114,10 @@ class Hypergraph:
     the edge list is sorted lexicographically, and duplicate vertices
     within an edge or duplicate edges raise HypergraphError.  An edge
     tuple that is already canonical (what the generators, `induced`,
-    `remove_vertex`, `replicate` and a canonical .hg file give) is
-    checked in one linear pass and kept as it is, not re-sorted.
+    `remove_vertex` and `replicate` give) is checked in one linear pass
+    and kept as it is, not re-sorted.  The .hg reader, which builds int
+    tuples of length s and their columns, hands them to
+    `_from_int_columns`, which runs only the order and range checks.
     Isolated vertices are legal and count toward n.
     """
 
@@ -261,3 +275,22 @@ class Hypergraph:
 
     def is_k_independent(self, vertices: Iterable[int], k: int) -> bool:
         return self.k_independence_violation(vertices, k) is None
+
+
+def _from_int_columns(n: int, s: int, edges: tuple[tuple[int, ...], ...],
+                      cols: Sequence[Sequence[int]]) -> Hypergraph:
+    """The hypergraph of `edges`, for a caller that built them as int
+    tuples of length s, with n >= 1 and s >= 2, and holds their columns.
+
+    Types and lengths are known, so only `_in_canonical_order` runs, over
+    the caller's columns, and canonical edges are kept as they are.
+    Edges out of order go through the constructor, which canonicalizes
+    them or raises.
+    """
+    if not edges or not _in_canonical_order(edges, n, cols):
+        return Hypergraph(n, s, edges)
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "s", s)
+    object.__setattr__(h, "edges", edges)
+    return h

@@ -20,6 +20,7 @@ runs derandomized, so every run draws the same cases.
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -930,6 +931,14 @@ def ref_canonical_edges(n, s, edges):
     return tuple(canon)
 
 
+def ref_decimal(field):
+    """int() of a field that is all ASCII decimal digits; ValueError for
+    any other, such as "+1" or "1_0", which int() alone would read."""
+    if re.fullmatch("[0-9]+", field) is None:
+        raise ValueError(field)
+    return int(field)
+
+
 def ref_parse_hg(text):
     """A parser that sorts every edge line and keeps a dict of all edges
     seen; returns (n, s, canonical edges)."""
@@ -948,7 +957,7 @@ def ref_parse_hg(text):
             if len(fields) != 5 or fields[1] != "hyp":
                 raise HgParseError(line_no, f"malformed problem line {line!r}, expected 'p hyp <n> <m> <s>'")
             try:
-                n, m, s = (int(f) for f in fields[2:])
+                n, m, s = (ref_decimal(f) for f in fields[2:])
             except ValueError:
                 raise HgParseError(line_no, f"non-integer field in problem line {line!r}") from None
             if n < 1 or m < 0 or s < 2:
@@ -958,7 +967,7 @@ def ref_parse_hg(text):
             if not header_line:
                 raise HgParseError(line_no, "edge line before problem line")
             try:
-                ids = [int(f) for f in fields[1:]]
+                ids = [ref_decimal(f) for f in fields[1:]]
             except ValueError:
                 raise HgParseError(line_no, f"non-integer vertex id in edge line {line!r}") from None
             if len(ids) != s:
@@ -1025,8 +1034,12 @@ GAPS = (" ", " ", "  ", "\t")
 
 
 def render(records, rnd):
-    """Join token lists into .hg text with comment, blank and
-    whitespace-padded lines mixed in."""
+    """Join token lists into .hg text: in a third of the draws in the
+    writer's plain layout (single spaces, LF endings, the last one
+    optional), which the parser reads as one block, else with comment,
+    blank and whitespace-padded lines mixed in."""
+    if rnd.random() < 1 / 3:
+        return "\n".join(map(" ".join, records)) + rnd.choice(["\n", ""])
     lines = []
     for tokens in records:
         while rnd.random() > 0.8:
@@ -1060,7 +1073,7 @@ def corrupt(records, kind, rnd, h):
         else:
             tokens.insert(j, str(rnd.randint(1, h.n)))
     elif kind == "non_int":
-        tokens[j] = rnd.choice(["x", "1.5", "2a", "0x1"])
+        tokens[j] = rnd.choice(["x", "1.5", "2a", "0x1", "+1", "1_0"])
     elif kind == "dup_edge":
         copy = ["e"] + rnd.sample(tokens[1:], len(tokens) - 1)
         records.insert(rnd.randint(row + 1, len(records)), copy)
