@@ -95,10 +95,12 @@ def parse_hg(text: str) -> Hypergraph:
     wrong arity, out-of-range ids, non-decimal ids and duplicate edges
     are errors.
 
-    A text in the writer's layout is read as one block by
-    `_parse_block`.  Every other text, and every text the block path
-    finds a fault in, goes through `_parse_lines`, which raises each
-    error with its line.
+    A text in the writer's layout (comment lines, the problem line, then
+    the edge lines with single spaces and LF endings) is read as one
+    block by `_parse_block`.  Every other text, and every text the
+    block path finds a fault in, goes through `_parse_lines`, which
+    raises each error with its line.  Ids and counts are ASCII decimal
+    digits only.
     """
     h = _parse_block(text)
     return _parse_lines(text) if h is None else h

@@ -46,38 +46,34 @@ def _is_canonical(edges: object, n: int, s: int) -> bool:
 
     That is a tuple of int tuples, each of length s and strictly
     increasing inside [0, n), the list itself strictly increasing.  The
-    checks run over whole columns at C speed: the type and length sets
-    first, then `_in_canonical_order`, which stops at the first pair out
-    of order, so a scrambled input costs little more than the
-    canonicalizing loop it falls back to.  A comparison that raises
-    TypeError also means "not canonical", and the loop then reports the
-    input's fault itself.
+    checks run over whole columns at C speed, and `_in_canonical_order`
+    stops at the first pair out of order, so a scrambled input costs
+    little more than the canonicalizing loop it falls back to.  A
+    comparison that raises TypeError also means "not canonical", and the
+    loop then reports the input's fault itself.
     """
     if type(edges) is not tuple:
         return False
     if not edges:
         return True
     try:
-        return (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {s}
-                and _in_canonical_order(edges, n)
-                and set(map(type, chain.from_iterable(edges))) == {int})
+        if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {s}:
+            return False
+        cols = tuple(zip(*edges))
+        return (_in_canonical_order(edges, cols, n)
+                and set(map(type, chain.from_iterable(cols))) == {int})
     except TypeError:
         return False
 
 
-def _in_canonical_order(edges: tuple, n: int, cols: Sequence[Sequence[int]] | None = None) -> bool:
+def _in_canonical_order(edges: tuple, cols: Sequence[Sequence[int]], n: int) -> bool:
     """True when the edge list is strictly increasing, so is each edge,
     and every id lies in [0, n): the order and range half of the
-    canonical form, for a nonempty tuple of equal-length edges.
-
-    The edges are compared first; `cols` are the edges' columns, built
-    here from the edges unless the caller already holds them.
+    canonical form, for a nonempty tuple of equal-length edges and
+    their columns `cols`.  The edges are compared first.
     """
-    if not all(map(lt, edges, edges[1:])):
-        return False
-    if cols is None:
-        cols = tuple(zip(*edges))
-    return (all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+    return (all(map(lt, edges, edges[1:]))
+            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
             and edges[0][0] >= 0 and max(cols[-1]) < n)
 
 
@@ -287,7 +283,7 @@ def _from_int_columns(n: int, s: int, edges: tuple[tuple[int, ...], ...],
     Edges out of order go through the constructor, which canonicalizes
     them or raises.
     """
-    if not edges or not _in_canonical_order(edges, n, cols):
+    if not edges or not _in_canonical_order(edges, cols, n):
         return Hypergraph(n, s, edges)
     h = object.__new__(Hypergraph)
     object.__setattr__(h, "n", n)
